@@ -13,17 +13,16 @@ import sys
 from fractions import Fraction
 
 from normdeg.formulas import ndeg_semidirect, semidirect_bounds
-from normdeg.numtheory import format_ratio
+from normdeg.groups import family_params
+from normdeg.numtheory import format_ratio, is_prime
 
 
 def grid(primes: list[int], n_max: int):
+    params = family_params("SDP", max(primes) * n_max)
     for p in primes:
-        for n in range(2, n_max + 1):
-            if n % p == 0:
-                continue
-            for k0 in range(2, n):
-                if pow(k0, p, n) == 1:
-                    yield p, n, k0
+        for q, n, k0 in params:
+            if q == p and n <= n_max:
+                yield p, n, k0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,6 +36,9 @@ def main(argv: list[str] | None = None) -> int:
         primes = [int(part) for part in args.primes.split(",")]
     except ValueError:
         parser.error(f"bad prime list {args.primes!r}")
+    composite = [p for p in primes if not is_prime(p)]
+    if composite:
+        parser.error(f"twist orders must be prime, got {composite}")
 
     print("p\tn\tk0\tndeg\tupper\tlower_sigma\tlower_index")
     sigma_tight = index_tight = upper_tight = total = 0

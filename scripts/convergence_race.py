@@ -13,21 +13,27 @@ import argparse
 import sys
 from fractions import Fraction
 
+from normdeg.errors import ConstraintError
 from normdeg.formulas import Family, family_limit, ndeg_family
 
-FAMILY_ARGS = {
-    Family.MODULAR: ("M(3^n)", 3, 3),
-    Family.DIHEDRAL: ("Dih 2-groups", 2, 2),
-    Family.QUATERNION: ("Q 2-groups", 2, 3),
-    Family.SEMIDIHEDRAL: ("SD 2-groups", 2, 4),
+# row label and prime of each family in the race
+RACERS = {
+    Family.MODULAR: ("M(3^n)", 3),
+    Family.DIHEDRAL: ("Dih 2-groups", 2),
+    Family.QUATERNION: ("Q 2-groups", 2),
+    Family.SEMIDIHEDRAL: ("SD 2-groups", 2),
 }
 
 
-def first_crossing(family: Family, p: int, start: int, threshold: Fraction,
+def first_crossing(family: Family, p: int, threshold: Fraction,
                    n_limit: int) -> int | None:
     limit = family_limit(family)
-    for n in range(start, n_limit + 1):
-        if abs(ndeg_family(family, p, n) - limit) < threshold:
+    for n in range(1, n_limit + 1):
+        try:
+            distance = abs(ndeg_family(family, p, n) - limit)
+        except ConstraintError:  # below the family's first member
+            continue
+        if distance < threshold:
             return n
     return None
 
@@ -45,11 +51,10 @@ def main(argv: list[str] | None = None) -> int:
     header = "family\tlimit\t" + "\t".join(
         f"1e-{k}" for k in range(1, args.depth + 1))
     print(header)
-    for family, (label, p, start) in FAMILY_ARGS.items():
+    for family, (label, p) in RACERS.items():
         cells = []
         for k in range(1, args.depth + 1):
-            n = first_crossing(family, p, start, Fraction(1, 10 ** k),
-                               args.n_limit)
+            n = first_crossing(family, p, Fraction(1, 10 ** k), args.n_limit)
             cells.append(str(n) if n is not None else ">limit")
         print(f"{label}\t{family_limit(family)}\t" + "\t".join(cells))
     print("cells hold the first exponent n whose distance to the limit "

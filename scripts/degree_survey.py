@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from normdeg.errors import CapExceededError
+from normdeg.errors import CapExceededError, ConstraintError
 from normdeg.explorer import catalog_ndeg, catalog_specs
 from normdeg.numtheory import format_ratio
 
@@ -25,10 +25,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cap", type=int, default=512,
                         help="enumeration ceiling for brute-force fallback")
     args = parser.parse_args(argv)
+    try:
+        catalog = catalog_specs(args.order_cap)
+    except ConstraintError as exc:
+        parser.error(str(exc))
 
     rows: list[tuple[str, int, Fraction]] = []
     skipped = 0
-    for spec, order in catalog_specs(args.order_cap):
+    for spec, order in catalog:
         try:
             nd = catalog_ndeg(spec, order, cap=args.cap)
         except CapExceededError:

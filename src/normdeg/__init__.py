@@ -11,7 +11,7 @@ from .errors import (
     SieveExhaustedError,
     SpecParseError,
 )
-from .numtheory import ExactRatio, format_ratio, parse_ratio, ratio
+from .numtheory import format_ratio, parse_ratio
 
 __all__ = [
     "__version__",
@@ -20,8 +20,6 @@ __all__ = [
     "NormdegError",
     "SieveExhaustedError",
     "SpecParseError",
-    "ExactRatio",
     "format_ratio",
     "parse_ratio",
-    "ratio",
 ]

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from fractions import Fraction
+from time import perf_counter
 
 from . import explorer
 from .degrees import DegreeReport, ndeg_brute, ndeg_conjugacy, sd_brute
@@ -36,55 +36,52 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(row: list[str]) -> None:
     sys.stdout.write("\t".join(row) + "\n")
-
-
-def _frac(value: Fraction) -> str:
-    return format_ratio(value)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    start = perf_counter()
     spec = parse_spec(args.spec)
     text = spec.render()
     method = args.method
     counts = formula_counts(spec)
     if method == "auto":
         method = "formula" if counts is not None else "brute"
-    report: DegreeReport
-    lattice = None
-    if method == "formula":
-        if counts is None:
-            raise ConstraintError("no closed form for this spec; "
-                                  "use --method brute", text)
-        total, normal = counts
-        report = DegreeReport(
-            spec=text, order=spec.order(), lattice_size=total,
-            normal_count=normal, ndeg=Fraction(normal, total), sd=None,
-            method="formula", elapsed_ms=0)
-    else:
+    if method == "formula" and counts is None:
+        raise ConstraintError("no closed form for this spec; "
+                              "use --method brute", text)
+    sd = None
+    if method != "formula" or args.sd:
         table = build(spec)
         lattice = enumerate_subgroups(table, cap=args.cap)
-        if method == "brute":
-            report = ndeg_brute(table, spec_text=text, lattice=lattice,
-                                cap=args.cap)
-        else:
-            report = ndeg_conjugacy(table, spec_text=text, lattice=lattice,
-                                    cap=args.cap)
-    if args.sd:
-        if lattice is None:
-            table = build(spec)
-            lattice = enumerate_subgroups(table, cap=args.cap)
-        report.sd = sd_brute(table, lattice=lattice, cap=args.cap)
+        if method != "formula":
+            route = ndeg_brute if method == "brute" else ndeg_conjugacy
+            found = route(table, spec_text=text, lattice=lattice, cap=args.cap)
+            counts = found.lattice_size, found.normal_count
+        if args.sd:
+            sd = sd_brute(table, lattice=lattice, cap=args.cap)
+    total, normal = counts
+    report = DegreeReport(
+        spec=text, order=spec.order(), lattice_size=total, normal_count=normal,
+        ndeg=Fraction(normal, total), sd=sd, method=method,
+        elapsed_ms=int((perf_counter() - start) * 1000))
     header = ["spec", "order", "lattice_size", "normal_count", "ndeg", "sd",
               "method", "elapsed_ms"]
     _emit(header)
     _emit([report.spec, str(report.order), str(report.lattice_size),
-           str(report.normal_count), _frac(report.ndeg),
-           _frac(report.sd) if report.sd is not None else "-",
+           str(report.normal_count), format_ratio(report.ndeg),
+           format_ratio(report.sd) if report.sd is not None else "-",
            report.method, str(report.elapsed_ms)])
     if args.ledger:
         explorer.ledger_append(args.ledger, report)
@@ -132,8 +129,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     steps = explorer.density_sequence(target, steps=args.steps)
     _emit(["step", "group", "ndeg", "target", "gap"])
     for s in steps:
-        _emit([str(s.index), " x ".join(s.factor_specs), _frac(s.ndeg),
-               _frac(s.target), _frac(s.gap)])
+        _emit([str(s.index), " x ".join(s.factor_specs), format_ratio(s.ndeg),
+               format_ratio(s.target), format_ratio(s.gap)])
     return EXIT_OK
 
 
@@ -141,19 +138,14 @@ def cmd_conjecture43(args: argparse.Namespace) -> int:
     rows = explorer.conjecture_witness_rows(args.a_max, args.order_cap)
     _emit(["a", "target", "criterion_witness", "catalog_witness"])
     for r in rows:
-        _emit([str(r.a), _frac(r.target),
+        _emit([str(r.a), format_ratio(r.target),
                r.criterion_witness or "none found",
                r.catalog_witness or "none found"])
     return EXIT_OK
 
 
-_LIMIT_FAMILIES = {"mpn": Family.MODULAR, "dihedral2n": Family.DIHEDRAL,
-                   "quaternion2n": Family.QUATERNION,
-                   "semidihedral2n": Family.SEMIDIHEDRAL}
-
-
 def cmd_limits(args: argparse.Namespace) -> int:
-    family = _LIMIT_FAMILIES[args.family]
+    family = explorer.PRIME_POWER_FAMILIES[args.family]
     p = args.p if args.p is not None else (3 if family is Family.MODULAR else 2)
     rows = explorer.limits_rows(family, p, args.n_max)
     header = ["n", "ndeg", "distance"]
@@ -161,7 +153,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         header.append("approx")
     _emit(header)
     for n, nd, dist in rows:
-        row = [str(n), _frac(nd), _frac(dist)]
+        row = [str(n), format_ratio(nd), format_ratio(dist)]
         if args.decimals is not None:
             row.append(f"{float(nd):.{args.decimals}f}")
         _emit(row)
@@ -223,10 +215,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_conjecture43)
 
     p = sub.add_parser("limits", help="family degree sequence and its limit")
-    p.add_argument("--family", required=True, choices=sorted(_LIMIT_FAMILIES))
+    p.add_argument("--family", required=True, choices=sorted(explorer.PRIME_POWER_FAMILIES))
     p.add_argument("--p", type=int, help="prime for the modular family (default 3)")
     p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--decimals", type=int,
+    p.add_argument("--decimals", type=_nonnegative_int,
                    help="add a float approximation column with this precision")
     p.set_defaults(func=cmd_limits)
 

@@ -42,6 +42,8 @@ class DegreeReport:
             raise ValueError("ndeg does not match normal_count/lattice_size")
         if not 0 < self.ndeg <= 1:
             raise ValueError("ndeg out of range (0, 1]")
+        if self.sd is not None and not self.ndeg <= self.sd <= 1:
+            raise ValueError("sd out of range [ndeg, 1]")
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,8 +61,17 @@ class DegreeReport:
         return json.dumps(self.to_json_dict())
 
 
-def _spec_of(G: GroupTable, spec_text: str | None) -> str:
-    return spec_text or G.spec_text or f"<order {G.order}>"
+def _route_report(G: GroupTable, spec_text: str | None, total: int, normal: int,
+                  method: str, start: float) -> DegreeReport:
+    return DegreeReport(
+        spec=spec_text or G.spec_text or f"<order {G.order}>",
+        order=G.order,
+        lattice_size=total,
+        normal_count=normal,
+        ndeg=Fraction(normal, total),
+        method=method,
+        elapsed_ms=int((time.perf_counter() - start) * 1000),
+    )
 
 
 def ndeg_brute(
@@ -72,18 +83,7 @@ def ndeg_brute(
     """Normal-subgroup count over subgroup count from the full lattice."""
     start = time.perf_counter()
     lat = lattice if lattice is not None else enumerate_subgroups(G, cap)
-    total = len(lat)
-    normal = lat.normal_count
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return DegreeReport(
-        spec=_spec_of(G, spec_text),
-        order=G.order,
-        lattice_size=total,
-        normal_count=normal,
-        ndeg=Fraction(normal, total),
-        method="brute",
-        elapsed_ms=elapsed,
-    )
+    return _route_report(G, spec_text, len(lat), lat.normal_count, "brute", start)
 
 
 def ndeg_conjugacy(
@@ -101,16 +101,7 @@ def ndeg_conjugacy(
         if len(cls) > 1:
             rep = lat.subgroups[cls[0]]
             denom += G.order // normalizer(G, rep).size
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return DegreeReport(
-        spec=_spec_of(G, spec_text),
-        order=G.order,
-        lattice_size=denom,
-        normal_count=normal,
-        ndeg=Fraction(normal, denom),
-        method="conjugacy",
-        elapsed_ms=elapsed,
-    )
+    return _route_report(G, spec_text, denom, normal, "conjugacy", start)
 
 
 def sd_brute(

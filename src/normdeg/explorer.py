@@ -8,22 +8,26 @@ Lines result ledger.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
 import time
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from . import __version__
 from . import formulas as F
 from .degrees import DegreeReport, ndeg_brute
 from .errors import ConstraintError
-from .formulas import Family, family_limit, formula_counts, ndeg_family
-from .groups import build
+from .formulas import (Family, family_limit, family_member, formula_counts,
+                       ndeg_family)
+from .groups import Constructor, GroupSpec, Product, build, family_params
 from .lattice import enumerate_subgroups
-from .numtheory import is_prime, nth_primes
+from .numtheory import nth_primes
 
 # ---------------------------------------------------------------------------
 # sequences approaching a rational target
@@ -52,29 +56,19 @@ def density_sequence(target: Fraction, steps: int = 20) -> list[DensitySequenceS
         raise ConstraintError("density target must lie in [0, 1]", f"target={target}")
     if steps < 1:
         raise ConstraintError("density sequence needs at least one step", f"steps={steps}")
-    out: list[DensitySequenceStep] = []
-    if target == 0:
-        for t in range(1, steps + 1):
-            nd = ndeg_family(Family.DIHEDRAL, 2, t + 2)
-            out.append(DensitySequenceStep(t, (f"Dih({2 ** (t + 1)})",),
-                                           nd, target, nd))
-        return out
-    if target == 1:
-        for t in range(1, steps + 1):
-            nd = ndeg_family(Family.MODULAR, 3, t + 2)
-            out.append(DensitySequenceStep(t, (f"M(3,{t + 2})",),
-                                           nd, target, 1 - nd))
-        return out
-    a, b = target.numerator, target.denominator
-    width = b - a
+    a, width = target.numerator, target.denominator - target.numerator
+    out = []
     for t in range(1, steps + 1):
-        primes = nth_primes(t * width, width)
-        specs = []
-        nd = Fraction(1)
-        for i, p in enumerate(primes, start=1):
-            specs.append(f"M({p},{a + i + 1})")
-            nd *= ndeg_family(Family.MODULAR, p, a + i + 1)
-        out.append(DensitySequenceStep(t, tuple(specs), nd, target, nd - target))
+        if target == 0:
+            factors = [(Family.DIHEDRAL, 2, t + 2)]
+        elif target == 1:
+            factors = [(Family.MODULAR, 3, t + 2)]
+        else:
+            factors = [(Family.MODULAR, p, a + i + 1) for i, p in
+                       enumerate(nth_primes(t * width, width), start=1)]
+        nd = math.prod(ndeg_family(*factor) for factor in factors)
+        specs = tuple(family_member(*factor).render() for factor in factors)
+        out.append(DensitySequenceStep(t, specs, nd, target, abs(nd - target)))
     return out
 
 
@@ -93,79 +87,41 @@ def mpn_witnesses(a: int) -> list[str]:
     target = Fraction(a, a + 1)
     found = []
     for q in range(2, a + 3):
-        if not is_prime(q) or (a + 3) % (q + 1):
+        if (a + 3) % (q + 1):
             continue
         n = q * (a + 3) // (q + 1) - 1
-        if n < 3 or (q == 2 and n < 4):
+        try:
+            nd = ndeg_family(Family.MODULAR, q, n)
+        except ConstraintError:
             continue
-        if ndeg_family(Family.MODULAR, q, n) == target:
+        if nd == target:
             found.append((q ** n, f"M({q},{n})"))
     return [spec for _, spec in sorted(found)]
 
 
-_CATALOG_RANK = {"C": 0, "EA": 1, "Sym": 2, "Q": 3, "SD": 4,
-                 "M": 5, "Dih": 6, "SDP": 7, "ZM": 8}
+# catalog order among groups of equal order
+_CATALOG_FAMILIES = ("C", "EA", "Sym", "Q", "SD", "M", "Dih", "SDP", "ZM")
+# members that repeat a group listed under an earlier family
+_CATALOG_REPEATS = {
+    "EA": lambda params: params[1] < 2,   # EA(p,1) is C(p)
+    "Sym": lambda params: params[0] < 3,  # Sym(1), Sym(2) are C(1), C(2)
+    "Dih": lambda params: params[0] < 3,  # Dih(1), Dih(2) are C(2), EA(2,2)
+}
 _EA_ORDER_LIMIT = 32  # elementary abelian lattices explode far below the cap
-
-_SYM_ORDERS = {1: 1, 2: 2, 3: 6, 4: 24, 5: 120}
 
 
 def catalog_specs(order_cap: int) -> list[tuple[str, int]]:
     """Deterministic (spec, order) catalog of single-constructor groups up to order_cap."""
     if order_cap < 1:
         raise ConstraintError("catalog cap must be positive", f"order_cap={order_cap}")
-    entries: list[tuple[int, int, tuple[int, ...], str]] = []
-
-    def add(name: str, params: tuple[int, ...], order: int) -> None:
-        entries.append((order, _CATALOG_RANK[name], params,
-                        f"{name}({','.join(map(str, params))})"))
-
-    for n in range(1, order_cap + 1):
-        add("C", (n,), n)
-    for p in range(2, _EA_ORDER_LIMIT + 1):
-        if not is_prime(p):
-            continue
-        k = 2
-        while p ** k <= min(order_cap, _EA_ORDER_LIMIT):
-            add("EA", (p, k), p ** k)
-            k += 1
-    for n in range(3, 6):
-        if _SYM_ORDERS[n] <= order_cap:
-            add("Sym", (n,), _SYM_ORDERS[n])
-    for n in range(3, order_cap.bit_length()):
-        if 2 ** n <= order_cap:
-            add("Q", (n,), 2 ** n)
-        if n >= 4 and 2 ** n <= order_cap:
-            add("SD", (n,), 2 ** n)
-    for p in range(2, order_cap):
-        if not is_prime(p):
-            continue
-        n = 4 if p == 2 else 3
-        while p ** n <= order_cap:
-            add("M", (p, n), p ** n)
-            n += 1
-        if p ** 3 > order_cap and p > 2:
-            break
-    for n in range(3, order_cap // 2 + 1):
-        add("Dih", (n,), 2 * n)
-    for p in range(2, order_cap // 2 + 1):
-        if not is_prime(p):
-            continue
-        for n in range(2, order_cap // p + 1):
-            if n % p == 0:
-                continue
-            for k0 in range(2, n):
-                if (math.gcd(k0, n) == 1 and pow(k0, p, n) == 1 % n
-                        and k0 % n != 1):
-                    add("SDP", (p, n, k0), p * n)
-    for m in range(3, order_cap + 1, 2):
-        for n in range(2, order_cap // m + 1):
-            if math.gcd(m, n) != 1:
-                continue
-            for r in range(2, m):
-                if (math.gcd(r, m) == 1 and math.gcd(m, r - 1) == 1
-                        and pow(r, n, m) == 1):
-                    add("ZM", (m, n, r), m * n)
+    entries = []
+    for rank, name in enumerate(_CATALOG_FAMILIES):
+        cap = min(order_cap, _EA_ORDER_LIMIT) if name == "EA" else order_cap
+        repeats = _CATALOG_REPEATS.get(name)
+        for params in family_params(name, cap):
+            if repeats is None or not repeats(params):
+                term = Constructor(name, params)
+                entries.append((term.order(), rank, params, term.render()))
     entries.sort()
     return [(spec, order) for order, _, _, spec in entries]
 
@@ -227,26 +183,102 @@ class VerifyRow:
         return self.formula_value == self.brute_value
 
 
-VERIFY_FAMILIES = ("sdp", "dihedral", "zm", "mpn", "dihedral2n",
-                   "quaternion2n", "semidihedral2n", "abelian2")
+def _range(bounds: tuple[int, int]) -> range:
+    return range(bounds[0], bounds[1] + 1)
 
-_DEFAULT_RANGES = {
-    "sdp": {"p": (2, 5), "n": (2, 40)},
-    "dihedral": {"n": (3, 60)},
-    "zm": {"mn": (2, 300)},
-    "mpn": {"p": (2, 7), "n": (3, 9)},
-    "dihedral2n": {"n": (2, 9)},
-    "quaternion2n": {"n": (3, 9)},
-    "semidihedral2n": {"n": (4, 9)},
-    "abelian2": {"p": (2, 3), "asum": (2, 9)},
+
+def _sizes(counts):
+    """Checks of a closed form that gives (subgroup count, normal count)."""
+    return lambda *t: list(zip(("lattice_size", "normal_count"), counts(*t)))
+
+
+def _lattice_sizes(lat, *t) -> list[int]:
+    return [len(lat.subgroups), lat.normal_count]
+
+
+def _abelian2_checks(p: int, a1: int, a2: int) -> list[tuple[str, int]]:
+    return ([(f"count_order_p^{k}", F.abelian_rank2_count(p, a1, a2, k))
+             for k in range(a1 + a2 + 1)]
+            + [("total", F.abelian_rank2_total(p, a1, a2))])
+
+
+def _abelian2_brute(lat, p: int, a1: int, a2: int) -> list[int]:
+    per = Counter(s.size for s in lat.subgroups)
+    return [per[p ** k] for k in range(a1 + a2 + 1)] + [len(lat.subgroups)]
+
+
+class _Grid(NamedTuple):
+    """One verification family: the groups it walks and the closed form it checks."""
+
+    ranges: dict[str, tuple[int, int]]  # default parameter ranges
+    # range filter: parameter tuples in output order, possibly naming no group
+    tuples: Callable[[dict[str, tuple[int, int]]], Iterable[tuple[int, ...]]]
+    spec: Callable[..., GroupSpec]  # ConstraintError when the tuple names no group
+    label: str  # params column, formatted with the tuple
+    checks: Callable[..., list[tuple[str, int]]]  # (check, closed-form value) rows
+    brute: Callable[..., list[int]] = _lattice_sizes  # the same values from the lattice
+
+
+def _prime_power_grid(name: str, ranges: dict[str, tuple[int, int]]) -> _Grid:
+    family = PRIME_POWER_FAMILIES[name]
+    return _Grid(
+        ranges,
+        lambda r: itertools.product(_range(r["p"]) if "p" in r else (2,), _range(r["n"])),
+        lambda p, n: family_member(family, p, n),
+        "p={},n={}" if "p" in ranges else "n={1}",
+        _sizes(lambda p, n: (F.family_lattice_size(family, p, n),
+                             F.family_normal_count(family, p, n))))
+
+
+# verification family -> prime-power family, also the `limits` choices
+PRIME_POWER_FAMILIES = {"mpn": Family.MODULAR, "dihedral2n": Family.DIHEDRAL,
+                        "quaternion2n": Family.QUATERNION,
+                        "semidihedral2n": Family.SEMIDIHEDRAL}
+
+_GRIDS = {
+    "sdp": _Grid(
+        {"p": (2, 5), "n": (2, 40)},
+        lambda r: (t for t in family_params("SDP", r["p"][1] * r["n"][1])
+                   if t[0] in _range(r["p"]) and t[1] in _range(r["n"])),
+        lambda *t: Constructor("SDP", t),
+        "p={},n={},k0={}",
+        _sizes(lambda p, n, k0: (F.lattice_size_semidirect(p, n, k0),
+                                 F.normal_count_semidirect(p, n, k0)))),
+    "dihedral": _Grid(
+        {"n": (3, 60)},
+        lambda r: ((n,) for n in _range(r["n"])),
+        lambda n: Constructor("Dih", (n,)),
+        "n={}",
+        _sizes(lambda n: F.dihedral_counts(n))),
+    "zm": _Grid(
+        {"mn": (2, 300)},
+        lambda r: (t for t in family_params("ZM", r["mn"][1])
+                   if t[0] * t[1] >= r["mn"][0]),
+        lambda *t: Constructor("ZM", t),
+        "m={},n={},r={}",
+        _sizes(lambda m, n, r: F.zm_counts(m, n, r))),
+    "mpn": _prime_power_grid("mpn", {"p": (2, 7), "n": (3, 9)}),
+    "dihedral2n": _prime_power_grid("dihedral2n", {"n": (2, 9)}),
+    "quaternion2n": _prime_power_grid("quaternion2n", {"n": (3, 9)}),
+    "semidihedral2n": _prime_power_grid("semidihedral2n", {"n": (4, 9)}),
+    "abelian2": _Grid(
+        {"p": (2, 3), "asum": (2, 9)},
+        lambda r: ((p, a1, asum - a1) for p in _range(r["p"])
+                   for asum in _range(r["asum"]) for a1 in range(1, asum // 2 + 1)),
+        lambda p, a1, a2: Product(Constructor("C", (p ** a1,)),
+                                  Constructor("C", (p ** a2,))),
+        "p={},a1={},a2={}",
+        _abelian2_checks, _abelian2_brute),
 }
+
+VERIFY_FAMILIES = tuple(_GRIDS)
 
 
 def default_ranges(family: str) -> dict[str, tuple[int, int]]:
     """Built-in parameter ranges for a verification family."""
-    if family not in _DEFAULT_RANGES:
+    if family not in _GRIDS:
         raise ConstraintError("unknown verification family", family)
-    return dict(_DEFAULT_RANGES[family])
+    return dict(_GRIDS[family].ranges)
 
 
 def verify_grid(family: str, ranges: dict[str, tuple[int, int]] | None = None,
@@ -259,125 +291,38 @@ def verify_grid(family: str, ranges: dict[str, tuple[int, int]] | None = None,
                 raise ConstraintError(
                     f"family {family} accepts ranges {sorted(base)}", key)
         base.update(ranges)
+    grid = _GRIDS[family]
     rows: list[VerifyRow] = []
     skipped = 0
-
-    def brute_counts(spec: str, order: int) -> tuple[int, int] | None:
-        nonlocal skipped
-        if order > cap:
+    for t in grid.tuples(base):
+        try:
+            spec = grid.spec(*t)
+            checks = grid.checks(*t)
+        except ConstraintError:  # no such group, or outside the closed form's domain
+            continue
+        if spec.order() > cap:
             skipped += 1
-            return None
+            continue
         lat = enumerate_subgroups(build(spec), cap=cap)
-        return len(lat.subgroups), lat.normal_count
-
-    def compare(params: str, spec: str, order: int,
-                formula: tuple[int, int]) -> None:
-        got = brute_counts(spec, order)
-        if got is None:
-            return
-        rows.append(VerifyRow(family, params, "lattice_size", formula[0], got[0]))
-        rows.append(VerifyRow(family, params, "normal_count", formula[1], got[1]))
-
-    if family == "sdp":
-        for p in _range(base["p"]):
-            if not is_prime(p):
-                continue
-            for n in _range(base["n"]):
-                if n < 2 or n % p == 0:
-                    continue
-                for k0 in range(2, n):
-                    if (math.gcd(k0, n) != 1 or pow(k0, p, n) != 1 % n
-                            or k0 % n == 1):
-                        continue
-                    formula = (F.lattice_size_semidirect(p, n, k0),
-                               F.normal_count_semidirect(p, n, k0))
-                    compare(f"p={p},n={n},k0={k0}", f"SDP({p},{n},{k0})",
-                            p * n, formula)
-    elif family == "dihedral":
-        for n in _range(base["n"]):
-            if n < 3:
-                continue
-            compare(f"n={n}", f"Dih({n})", 2 * n, F.dihedral_counts(n))
-    elif family == "zm":
-        lo, hi = base["mn"]
-        for m in range(3, hi + 1, 2):
-            for n in range(2, hi // m + 1):
-                if m * n < lo or math.gcd(m, n) != 1:
-                    continue
-                for r in range(2, m):
-                    if (math.gcd(r, m) == 1 and math.gcd(m, r - 1) == 1
-                            and pow(r, n, m) == 1):
-                        compare(f"m={m},n={n},r={r}", f"ZM({m},{n},{r})",
-                                m * n, F.zm_counts(m, n, r))
-    elif family in ("mpn", "dihedral2n", "quaternion2n", "semidihedral2n"):
-        fam = {"mpn": Family.MODULAR, "dihedral2n": Family.DIHEDRAL,
-               "quaternion2n": Family.QUATERNION,
-               "semidihedral2n": Family.SEMIDIHEDRAL}[family]
-        plist = [p for p in _range(base["p"])] if family == "mpn" else [2]
-        for p in plist:
-            if not is_prime(p):
-                continue
-            for n in _range(base["n"]):
-                try:
-                    formula = (F.family_lattice_size(fam, p, n),
-                               F.family_normal_count(fam, p, n))
-                except ConstraintError:
-                    continue
-                spec = {Family.MODULAR: f"M({p},{n})",
-                        Family.DIHEDRAL: f"Dih({2 ** (n - 1)})",
-                        Family.QUATERNION: f"Q({n})",
-                        Family.SEMIDIHEDRAL: f"SD({n})"}[fam]
-                params = f"p={p},n={n}" if family == "mpn" else f"n={n}"
-                compare(params, spec, p ** n, formula)
-    elif family == "abelian2":
-        for p in _range(base["p"]):
-            if not is_prime(p):
-                continue
-            for asum in _range(base["asum"]):
-                for a1 in range(1, asum // 2 + 1):
-                    a2 = asum - a1
-                    if p ** asum > cap:
-                        skipped += 1
-                        continue
-                    spec = f"C({p ** a1}) x C({p ** a2})"
-                    lat = enumerate_subgroups(build(spec), cap=cap)
-                    per: dict[int, int] = {}
-                    for s in lat.subgroups:
-                        per[s.size] = per.get(s.size, 0) + 1
-                    params = f"p={p},a1={a1},a2={a2}"
-                    for k in range(asum + 1):
-                        rows.append(VerifyRow(
-                            family, params, f"count_order_p^{k}",
-                            F.abelian_rank2_count(p, a1, a2, k),
-                            per.get(p ** k, 0)))
-                    rows.append(VerifyRow(
-                        family, params, "total",
-                        F.abelian_rank2_total(p, a1, a2), len(lat.subgroups)))
+        params = grid.label.format(*t)
+        for (check, value), brute in zip(checks, grid.brute(lat, *t)):
+            rows.append(VerifyRow(family, params, check, value, brute))
     return rows, skipped
-
-
-def _range(bounds: tuple[int, int]) -> range:
-    return range(bounds[0], bounds[1] + 1)
 
 
 # ---------------------------------------------------------------------------
 # limit tables
 
-_FAMILY_MIN_N = {Family.MODULAR: 3, Family.DIHEDRAL: 2,
-                 Family.QUATERNION: 3, Family.SEMIDIHEDRAL: 4}
-
-
 def limits_rows(family: Family, p: int, n_max: int) -> list[tuple[int, Fraction, Fraction]]:
     """(n, ndeg, |ndeg - limit|) for the family's order-p**n members up to n_max."""
+    family_member(family, p, n_max)  # ConstraintError when n_max has no member
     limit = family_limit(family)
-    start = _FAMILY_MIN_N[family]
-    if family is Family.MODULAR and p == 2:
-        start = 4
-    if n_max < start:
-        raise ConstraintError(f"family needs n >= {start}", f"n_max={n_max}")
     out = []
-    for n in range(start, n_max + 1):
-        nd = ndeg_family(family, p, n)
+    for n in range(1, n_max + 1):
+        try:
+            nd = ndeg_family(family, p, n)
+        except ConstraintError:  # below the family's first member
+            continue
         out.append((n, nd, abs(nd - limit)))
     return out
 
@@ -411,7 +356,10 @@ def ledger_summarize(path: str, err: TextIO = sys.stderr) -> dict:
                 spec = rec["spec"]
                 num, den = rec["ndeg"].split("/")
                 value = Fraction(int(num), int(den))
-            except (json.JSONDecodeError, KeyError, ValueError, AttributeError) as exc:
+                if not isinstance(method, str) or not isinstance(spec, str):
+                    raise TypeError("method and spec must be strings")
+            except (KeyError, ValueError, AttributeError, TypeError,
+                    ZeroDivisionError) as exc:
                 malformed += 1
                 print(f"ledger line {lineno}: skipping malformed record ({exc})",
                       file=err)

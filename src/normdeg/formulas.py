@@ -158,29 +158,27 @@ class Family(Enum):
     SEMIDIHEDRAL = "SD"
 
 
-def _check_family(family: Family, p: int, n: int) -> None:
+def family_member(family: Family, p: int, n: int) -> Constructor:
+    """The order-p**n member as a constructor term; ConstraintError when there is none."""
     if family is Family.MODULAR:
-        check_params("M", (p, n))
-        return
+        return Constructor("M", (p, n))
     if p != 2:
         raise ConstraintError(f"family {family.value} requires p == 2", f"p={p}")
-    if family is Family.DIHEDRAL and n < 2:
-        raise ConstraintError("dihedral 2-group family requires n >= 2", f"n={n}")
-    if family is Family.QUATERNION:
-        check_params("Q", (n,))
-    if family is Family.SEMIDIHEDRAL:
-        check_params("SD", (n,))
+    if family is Family.DIHEDRAL:
+        if n < 2:
+            raise ConstraintError("dihedral 2-group family requires n >= 2", f"n={n}")
+        return Constructor("Dih", (2 ** (n - 1),))
+    return Constructor(family.value, (n,))
 
 
 def family_order(family: Family, p: int, n: int) -> int:
     """Group order p**n of the family member."""
-    _check_family(family, p, n)
-    return p ** n
+    return family_member(family, p, n).order()
 
 
 def family_lattice_size(family: Family, p: int, n: int) -> int:
     """Subgroup count of the order-p**n family member."""
-    _check_family(family, p, n)
+    family_member(family, p, n)
     if family is Family.MODULAR:
         return (1 + p) * n + 1 - p
     if family is Family.DIHEDRAL:
@@ -192,7 +190,7 @@ def family_lattice_size(family: Family, p: int, n: int) -> int:
 
 def family_normal_count(family: Family, p: int, n: int) -> int:
     """Normal subgroup count of the order-p**n family member."""
-    _check_family(family, p, n)
+    family_member(family, p, n)
     if family is Family.MODULAR:
         return (1 + p) * n + 1 - 2 * p
     return n + 3
@@ -212,34 +210,31 @@ def family_limit(family: Family) -> Fraction:
 # ---------------------------------------------------------------------------
 # dispatch from a parsed group description to a closed form, when one exists
 
+def _family_counts(family: Family, p: int, n: int) -> tuple[int, int]:
+    return family_lattice_size(family, p, n), family_normal_count(family, p, n)
+
+
+# closed forms by constructor name, called with the constructor's parameters
+_COUNTS = {
+    "C": lambda n: (tau(n), tau(n)),
+    "Dih": dihedral_counts,
+    "Q": lambda n: _family_counts(Family.QUATERNION, 2, n),
+    "SD": lambda n: _family_counts(Family.SEMIDIHEDRAL, 2, n),
+    "M": lambda p, n: _family_counts(Family.MODULAR, p, n),
+    "SDP": lambda p, n, k0: (lattice_size_semidirect(p, n, k0),
+                             normal_count_semidirect(p, n, k0)),
+    "ZM": zm_counts,
+}
+
+
 def formula_counts(spec: GroupSpec | str) -> tuple[int, int] | None:
     """(subgroup count, normal count) from a closed form, or None if unsupported."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if not isinstance(spec, Constructor):
+    counts = _COUNTS.get(spec.name) if isinstance(spec, Constructor) else None
+    if counts is None:
         return None
-    name = spec.name
-    params = spec.params
-    if name == "C":
-        t = tau(params[0])
-        return t, t
-    if name == "Dih" and params[0] >= 3:
-        return dihedral_counts(params[0])
-    if name == "Q":
-        n = params[0]
-        return (family_lattice_size(Family.QUATERNION, 2, n),
-                family_normal_count(Family.QUATERNION, 2, n))
-    if name == "SD":
-        n = params[0]
-        return (family_lattice_size(Family.SEMIDIHEDRAL, 2, n),
-                family_normal_count(Family.SEMIDIHEDRAL, 2, n))
-    if name == "M":
-        p, n = params
-        return (family_lattice_size(Family.MODULAR, p, n),
-                family_normal_count(Family.MODULAR, p, n))
-    if name == "SDP":
-        p, n, k0 = params
-        return lattice_size_semidirect(p, n, k0), normal_count_semidirect(p, n, k0)
-    if name == "ZM":
-        return zm_counts(*params)
-    return None
+    try:
+        return counts(*spec.params)
+    except ConstraintError:  # outside the closed form's domain, e.g. Dih(2)
+        return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,68 +77,76 @@ def render(spec: GroupSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parameter constraints
+# parameter constraints: each check returns the first violated
+# (constraint, detail) pair, or None, so filters over many candidate tuples
+# build no exception objects
 
 
-def _check_sdp(params: tuple[int, ...]) -> None:
+def _check_sdp(params: tuple[int, ...]) -> tuple[str, str] | None:
     p, n, k0 = params
     if not is_prime(p):
-        raise ConstraintError("SDP requires p prime", f"p={p}")
+        return "SDP requires p prime", f"p={p}"
     if n < 2:
-        raise ConstraintError("SDP requires n >= 2", f"n={n}")
+        return "SDP requires n >= 2", f"n={n}"
     if n % p == 0:
-        raise ConstraintError("SDP requires p not dividing n", f"p={p}, n={n}")
+        return "SDP requires p not dividing n", f"p={p}, n={n}"
     if k0 < 0 or math.gcd(k0, n) != 1:
-        raise ConstraintError("SDP requires gcd(k0, n) == 1", f"k0={k0}, n={n}")
+        return "SDP requires gcd(k0, n) == 1", f"k0={k0}, n={n}"
     if k0 % n == 1:
-        raise ConstraintError("SDP requires k0 != 1 (mod n)", f"k0={k0}")
+        return "SDP requires k0 != 1 (mod n)", f"k0={k0}"
     if pow(k0, p, n) != 1 % n:
-        raise ConstraintError("SDP requires k0**p == 1 (mod n)", f"k0={k0}, p={p}, n={n}")
+        return "SDP requires k0**p == 1 (mod n)", f"k0={k0}, p={p}, n={n}"
+    return None
 
 
-def _check_zm(params: tuple[int, ...]) -> None:
+def _check_zm(params: tuple[int, ...]) -> tuple[str, str] | None:
     m, n, r = params
     if m < 1 or n < 1 or r < 1:
-        raise ConstraintError("ZM requires m, n, r >= 1", f"m={m}, n={n}, r={r}")
+        return "ZM requires m, n, r >= 1", f"m={m}, n={n}, r={r}"
     if math.gcd(m, n) != 1:
-        raise ConstraintError("ZM requires gcd(m, n) == 1", f"m={m}, n={n}")
+        return "ZM requires gcd(m, n) == 1", f"m={m}, n={n}"
     if math.gcd(m, r - 1) != 1:
-        raise ConstraintError("ZM requires gcd(m, r-1) == 1", f"m={m}, r={r}")
+        return "ZM requires gcd(m, r-1) == 1", f"m={m}, r={r}"
     if pow(r, n, m) != 1 % m:
-        raise ConstraintError("ZM requires r**n == 1 (mod m)", f"m={m}, n={n}, r={r}")
+        return "ZM requires r**n == 1 (mod m)", f"m={m}, n={n}, r={r}"
+    return None
 
 
-def _check_mpn(params: tuple[int, ...]) -> None:
+def _check_mpn(params: tuple[int, ...]) -> tuple[str, str] | None:
     p, n = params
     if not is_prime(p):
-        raise ConstraintError("M requires p prime", f"p={p}")
+        return "M requires p prime", f"p={p}"
     if n < 3:
-        raise ConstraintError("M requires n >= 3", f"n={n}")
+        return "M requires n >= 3", f"n={n}"
     if p == 2 and n < 4:
-        raise ConstraintError("M requires n >= 4 when p == 2", f"n={n}")
+        return "M requires n >= 4 when p == 2", f"n={n}"
+    return None
 
 
 def _check_positive(name: str, minimum: int):
-    def check(params: tuple[int, ...]) -> None:
+    def check(params: tuple[int, ...]) -> tuple[str, str] | None:
         (n,) = params
         if n < minimum:
-            raise ConstraintError(f"{name} requires n >= {minimum}", f"n={n}")
+            return f"{name} requires n >= {minimum}", f"n={n}"
+        return None
 
     return check
 
 
-def _check_sym(params: tuple[int, ...]) -> None:
+def _check_sym(params: tuple[int, ...]) -> tuple[str, str] | None:
     (n,) = params
     if not 1 <= n <= 5:
-        raise ConstraintError("Sym supports 1 <= n <= 5", f"n={n}")
+        return "Sym supports 1 <= n <= 5", f"n={n}"
+    return None
 
 
-def _check_ea(params: tuple[int, ...]) -> None:
+def _check_ea(params: tuple[int, ...]) -> tuple[str, str] | None:
     p, k = params
     if not is_prime(p):
-        raise ConstraintError("EA requires p prime", f"p={p}")
+        return "EA requires p prime", f"p={p}"
     if k < 1:
-        raise ConstraintError("EA requires k >= 1", f"k={k}")
+        return "EA requires k >= 1", f"k={k}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +174,6 @@ def _pair_labels(m: int, k: int) -> list[str]:
     return out
 
 
-def _table_dihedral(n: int) -> tuple[np.ndarray, list[str]]:
-    # x^i -> i, x^i y -> n + i; y x y = x^-1
-    i = np.arange(n)
-    rot = (i[:, None] + i[None, :]) % n
-    ref = (i[:, None] - i[None, :]) % n
-    top = np.hstack([rot, rot + n])
-    bot = np.hstack([ref + n, ref])
-    return np.vstack([top, bot]), _pair_labels(n, 2)
-
-
 def metacyclic_table(m: int, k: int, r: int) -> np.ndarray:
     """Table of <x,y | x^m = y^k = 1, y^-1 x y = x^r>; id of x^i y^a is a*m + i.
 
@@ -195,14 +194,8 @@ def metacyclic_table(m: int, k: int, r: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _table_semidihedral(n: int) -> tuple[np.ndarray, list[str]]:
-    m = 1 << (n - 1)
-    return metacyclic_table(m, 2, (1 << (n - 2)) - 1), _pair_labels(m, 2)
-
-
-def _table_mpn(p: int, n: int) -> tuple[np.ndarray, list[str]]:
-    m = p ** (n - 1)
-    return metacyclic_table(m, p, p ** (n - 2) + 1), _pair_labels(m, p)
+def _metacyclic(m: int, k: int, r: int) -> tuple[np.ndarray, list[str]]:
+    return metacyclic_table(m, k, r), _pair_labels(m, k)
 
 
 def _table_quaternion(n: int) -> tuple[np.ndarray, list[str]]:
@@ -218,23 +211,11 @@ def _table_quaternion(n: int) -> tuple[np.ndarray, list[str]]:
 
 
 def _table_sdp(p: int, n: int, k0: int) -> tuple[np.ndarray, list[str]]:
-    # pairs (x, y) in Z_p x Z_n with id x*n + y;
-    # (x1,y1)*(x2,y2) = (x1+x2, k0^x2 * y1 + y2)
-    y = np.arange(n)
-    blocks = []
-    for x1 in range(p):
-        row = []
-        for x2 in range(p):
-            c = pow(k0, x2, n)
-            inner = (c * y[:, None] + y[None, :]) % n
-            row.append(inner + ((x1 + x2) % p) * n)
-        blocks.append(np.hstack(row))
-    labels = [f"({x},{yy})" for x in range(p) for yy in range(n)]
-    return np.vstack(blocks), labels
-
-
-def _table_zm(m: int, n: int, r: int) -> tuple[np.ndarray, list[str]]:
-    return metacyclic_table(m, n, r % m if m > 1 else 0), _pair_labels(m, n)
+    # pairs (x, y) in Z_p x Z_n with id x*n + y and
+    # (x1,y1)*(x2,y2) = (x1+x2, k0^x2 * y1 + y2): the opposite product, so
+    # the transposed table, of the metacyclic group with r = k0^-1
+    labels = [f"({x},{y})" for x in range(p) for y in range(n)]
+    return metacyclic_table(n, p, pow(k0, -1, n)).T, labels
 
 
 def _table_sym(n: int) -> tuple[np.ndarray, list[str]]:
@@ -272,24 +253,55 @@ def _table_ea(p: int, k: int) -> tuple[np.ndarray, list[str]]:
     return mul, lab
 
 
+def _singles(top: int):
+    return ((n,) for n in range(1, top + 1))
+
+
+def _prime_powers(cap: int):
+    # k runs to log2(cap); family_params drops the pairs whose order exceeds cap
+    return ((p, k) for p in range(2, cap + 1) for k in range(1, cap.bit_length()))
+
+
+@dataclass(frozen=True)
 class _Family:
-    def __init__(self, arity, check, order, build):
-        self.arity = arity
-        self.check = check
-        self.order = order
-        self.build = build
+    """Everything the package knows about one constructor.
+
+    `candidates(cap)` yields, in lexicographic order, canonical parameter
+    tuples (residues below their modulus) that include every valid tuple of
+    order <= cap; `check` alone decides validity.
+    """
+
+    arity: int
+    check: Callable[[tuple[int, ...]], tuple[str, str] | None]
+    order: Callable[[tuple[int, ...]], int]
+    build: Callable[[tuple[int, ...]], tuple[np.ndarray, list[str]]]
+    candidates: Callable[[int], Iterable[tuple[int, ...]]]
 
 
 _FAMILIES: dict[str, _Family] = {
-    "C": _Family(1, _check_positive("C", 1), lambda p: p[0], lambda p: _table_cyclic(p[0])),
-    "Dih": _Family(1, _check_positive("Dih", 1), lambda p: 2 * p[0], lambda p: _table_dihedral(p[0])),
-    "Q": _Family(1, _check_positive("Q", 3), lambda p: 1 << p[0], lambda p: _table_quaternion(p[0])),
-    "SD": _Family(1, _check_positive("SD", 4), lambda p: 1 << p[0], lambda p: _table_semidihedral(p[0])),
-    "M": _Family(2, _check_mpn, lambda p: p[0] ** p[1], lambda p: _table_mpn(*p)),
-    "Sym": _Family(1, _check_sym, lambda p: math.factorial(p[0]), lambda p: _table_sym(p[0])),
-    "SDP": _Family(3, _check_sdp, lambda p: p[0] * p[1], lambda p: _table_sdp(*p)),
-    "ZM": _Family(3, _check_zm, lambda p: p[0] * p[1], lambda p: _table_zm(*p)),
-    "EA": _Family(2, _check_ea, lambda p: p[0] ** p[1], lambda p: _table_ea(*p)),
+    "C": _Family(1, _check_positive("C", 1), lambda p: p[0],
+                 lambda p: _table_cyclic(p[0]), _singles),
+    "Dih": _Family(1, _check_positive("Dih", 1), lambda p: 2 * p[0],
+                   lambda p: _metacyclic(p[0], 2, p[0] - 1),  # y x y = x^-1
+                   lambda cap: _singles(cap // 2)),
+    "Q": _Family(1, _check_positive("Q", 3), lambda p: 1 << p[0],
+                 lambda p: _table_quaternion(p[0]), lambda cap: _singles(cap.bit_length())),
+    "SD": _Family(1, _check_positive("SD", 4), lambda p: 1 << p[0],
+                  lambda p: _metacyclic(1 << (p[0] - 1), 2, (1 << (p[0] - 2)) - 1),
+                  lambda cap: _singles(cap.bit_length())),
+    "M": _Family(2, _check_mpn, lambda p: p[0] ** p[1],
+                 lambda p: _metacyclic(p[0] ** (p[1] - 1), p[0], p[0] ** (p[1] - 2) + 1),
+                 _prime_powers),
+    "Sym": _Family(1, _check_sym, lambda p: math.factorial(p[0]),
+                   lambda p: _table_sym(p[0]), _singles),
+    "SDP": _Family(3, _check_sdp, lambda p: p[0] * p[1], lambda p: _table_sdp(*p),
+                   lambda cap: ((p, n, k0) for p in range(2, cap + 1)
+                                for n in range(1, cap // p + 1) for k0 in range(n))),
+    "ZM": _Family(3, _check_zm, lambda p: p[0] * p[1], lambda p: _metacyclic(*p),
+                  lambda cap: ((m, n, r) for m in range(1, cap + 1)
+                               for n in range(1, cap // m + 1) for r in range(m))),
+    "EA": _Family(2, _check_ea, lambda p: p[0] ** p[1], lambda p: _table_ea(*p),
+                  _prime_powers),
 }
 
 
@@ -302,7 +314,20 @@ def check_params(name: str, params: tuple[int, ...]) -> None:
         raise ConstraintError(
             f"{name} takes {fam.arity} parameter(s)", f"got {len(params)}"
         )
-    fam.check(params)
+    problem = fam.check(params)
+    if problem is not None:
+        raise ConstraintError(*problem)
+
+
+def family_params(name: str, order_cap: int) -> list[tuple[int, ...]]:
+    """Every valid canonical parameter tuple of a constructor with order <= order_cap.
+
+    Tuples come in lexicographic order; residue parameters (SDP's k0, ZM's
+    r) are taken below their modulus.
+    """
+    fam = _FAMILIES[name]
+    return [params for params in fam.candidates(order_cap)
+            if fam.check(params) is None and fam.order(params) <= order_cap]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +482,7 @@ class GroupTable:
             for g in range(self.order):
                 if not mask >> g & 1:
                     gens.append(g)
-                    mask = _closure_mask(rows, gens)
+                    mask, _ = closure(rows, gens)
             self._generators = gens
         return list(self._generators)
 
@@ -466,11 +491,18 @@ class GroupTable:
         return f"GroupTable({tag}, order={self.order})"
 
 
-def _closure_mask(rows: list[list[int]], gens: list[int]) -> int:
+def closure(rows: list[list[int]], gens, limit: int | None = None) -> tuple[int, int] | None:
+    """(bitmask, size) of the subgroup generated by gens, by breadth-first search.
+
+    Returns None as soon as the subgroup has more than `limit` elements.
+    """
+    if limit is None:
+        limit = len(rows)
     mask = 1
     elems = [0]
     pos = 0
-    while pos < len(elems):
+    count = 1
+    while pos < count:
         row = rows[elems[pos]]
         pos += 1
         for g in gens:
@@ -478,18 +510,15 @@ def _closure_mask(rows: list[list[int]], gens: list[int]) -> int:
             if not mask >> b & 1:
                 mask |= 1 << b
                 elems.append(b)
-    return mask
+                count += 1
+                if count > limit:
+                    return None
+    return mask, count
 
 
 def element_order(G: GroupTable, x: int) -> int:
-    """Multiplicative order of element x."""
-    rows = G.rows
-    d = 1
-    y = x
-    while y != 0:
-        y = rows[y][x]
-        d += 1
-    return d
+    """Multiplicative order of element x: the size of the cyclic subgroup it generates."""
+    return closure(G.rows, [x])[1]
 
 
 def is_abelian(G: GroupTable) -> bool:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .groups import GroupTable
+from .groups import GroupTable, closure
 from .numtheory import divisors
 
 DEFAULT_CAP = 512
@@ -29,16 +29,7 @@ class SubgroupSet:
         return bool(self.mask >> element & 1)
 
     def elements(self) -> list[int]:
-        out = []
-        m = self.mask
-        while m:
-            b = m & -m
-            out.append(b.bit_length() - 1)
-            m ^= b
-        return out
-
-    def contains_set(self, other: "SubgroupSet") -> bool:
-        return self.mask | other.mask == self.mask
+        return _mask_elements(self.mask)
 
 
 def _mask_elements(mask: int) -> list[int]:
@@ -69,6 +60,20 @@ def _conjugation_perms(G: GroupTable) -> list[list[int]]:
         rowg = rows[g]
         perms.append([rows[rowg[h]][gi] for h in range(G.order)])
     return perms
+
+
+def _conjugates(mask: int, perms: list[list[int]]) -> set[int]:
+    """Every conjugate of a subgroup, closing its mask under the conjugation perms."""
+    seen = {mask}
+    frontier = [mask]
+    while frontier:
+        m = frontier.pop()
+        for perm in perms:
+            cm = _apply_perm(m, perm)
+            if cm not in seen:
+                seen.add(cm)
+                frontier.append(cm)
+    return seen
 
 
 class SubgroupLattice:
@@ -103,12 +108,6 @@ class SubgroupLattice:
     def normal_count(self) -> int:
         return sum(self.normal_flags)
 
-    def class_of(self, index: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if index in cls:
-                return cls
-        raise KeyError(index)
-
     def min_container_size(self, mask: int) -> int:
         """Size of the smallest subgroup containing `mask` (the join, since
         the lattice is complete and canonical order is size-ascending)."""
@@ -120,23 +119,11 @@ class SubgroupLattice:
 
 def generated_subgroup(G: GroupTable, seed) -> SubgroupSet:
     """Smallest subgroup containing the seed elements; empty seed gives {0}."""
-    rows = G.rows
     gens = sorted(set(seed))
     for g in gens:
         if not 0 <= g < G.order:
             raise ValueError(f"element {g} outside 0..{G.order - 1}")
-    mask = 1
-    elems = [0]
-    pos = 0
-    while pos < len(elems):
-        row = rows[elems[pos]]
-        pos += 1
-        for g in gens:
-            b = row[g]
-            if not mask >> b & 1:
-                mask |= 1 << b
-                elems.append(b)
-    return SubgroupSet(mask, len(elems))
+    return SubgroupSet(*closure(G.rows, gens))
 
 
 def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattice:
@@ -231,23 +218,11 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
         for g in gi + gj:
             if g not in gen_list:
                 gen_list.append(g)
-        emask = 1
-        elems = [0]
-        pos = 0
-        count = 1
-        while pos < count:
-            row = rows[elems[pos]]
-            pos += 1
-            for g in gen_list:
-                x = row[g]
-                if not emask >> x & 1:
-                    emask |= 1 << x
-                    elems.append(x)
-                    count += 1
-                    if count > gthresh:
-                        register(full_mask, n, tuple(gen_list))
-                        return
-        register(emask, count, tuple(gen_list))
+        closed = closure(rows, gen_list, gthresh)
+        if closed is None:
+            register(full_mask, n, tuple(gen_list))
+        else:
+            register(*closed, tuple(gen_list))
 
     # pairwise join closure: each unordered pair is visited exactly once,
     # in the round where its larger index first exists
@@ -265,36 +240,19 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
     subgroups = [SubgroupSet(masks[t], sizes[t]) for t in order]
     position = {masks[t]: new for new, t in enumerate(order)}
 
-    # conjugacy orbits via generator conjugation
+    # conjugacy orbits via generator conjugation; a class's smallest index is
+    # the first one no earlier class took, so classes come out in order
     perms = _conjugation_perms(G)
     seen = [False] * len(subgroups)
     classes: list[tuple[int, ...]] = []
     for start in range(len(subgroups)):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        frontier = [subgroups[start].mask]
-        while frontier:
-            m = frontier.pop()
-            for perm in perms:
-                cm = _apply_perm(m, perm)
-                t = position[cm]  # conjugates of a subgroup are subgroups
-                if not seen[t]:
-                    seen[t] = True
-                    orbit.append(t)
-                    frontier.append(cm)
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: cls[0])
+        if not seen[start]:
+            orbit = sorted(position[m] for m in _conjugates(subgroups[start].mask, perms))
+            for t in orbit:
+                seen[t] = True
+            classes.append(tuple(orbit))
 
     return SubgroupLattice(G, subgroups, classes)
-
-
-def conjugacy_classes(G: GroupTable, lattice: SubgroupLattice) -> list[tuple[int, ...]]:
-    """Conjugacy partition of the lattice (computed at enumeration time)."""
-    if lattice.group is not G:
-        raise ValueError("lattice does not belong to this group")
-    return lattice.classes
 
 
 def is_normal(G: GroupTable, H: SubgroupSet) -> bool:
@@ -327,18 +285,9 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
 
 def core(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     """Intersection of all conjugates of H: the largest normal subgroup inside H."""
-    perms = _conjugation_perms(G)
-    seen = {H.mask}
-    frontier = [H.mask]
     acc = H.mask
-    while frontier:
-        m = frontier.pop()
-        for perm in perms:
-            cm = _apply_perm(m, perm)
-            if cm not in seen:
-                seen.add(cm)
-                frontier.append(cm)
-                acc &= cm
+    for m in _conjugates(H.mask, _conjugation_perms(G)):
+        acc &= m
     return SubgroupSet(acc, acc.bit_count())
 
 

@@ -1,8 +1,7 @@
-"""Integer arithmetic: factorization, divisor functions, primes, exact ratios.
+"""Integer arithmetic: factorization, divisor functions, primes, ratio text.
 
 All functions are pure and exact; no floating point is used anywhere.
-ExactRatio is the stdlib Fraction, which already guarantees reduced form
-and a positive denominator.
+Ratios are stdlib Fractions, always reduced with a positive denominator.
 """
 
 from __future__ import annotations
@@ -13,17 +12,9 @@ from fractions import Fraction
 
 from .errors import SieveExhaustedError
 
-# Exact rational values used throughout the package.
-ExactRatio = Fraction
-
 _TRIAL_LIMIT = 10**6
 # Deterministic Miller-Rabin witness set, valid far beyond 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def ratio(num: int, den: int = 1) -> Fraction:
-    """Exact reduced fraction num/den."""
-    return Fraction(num, den)
 
 
 def format_ratio(q: Fraction) -> str:

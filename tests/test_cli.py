@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import normdeg.cli
 import normdeg.formulas
 from normdeg.cli import (
     EXIT_CAP,
@@ -114,6 +115,17 @@ class TestCompute:
         code, _, _ = run_cli(capsys, "compute", "--spec", "SDP(4,7,2)")
         assert code == EXIT_CONSTRAINT
 
+    @pytest.mark.parametrize("argv", [
+        ("--method", "brute"), ("--method", "formula", "--sd"),
+    ])
+    def test_elapsed_ms_covers_the_whole_pipeline(self, capsys, monkeypatch, argv):
+        # one clock reading before parsing and one after sd: 165 ms apart
+        readings = iter([10.0, 10.1655])
+        monkeypatch.setattr(normdeg.cli, "perf_counter", lambda: next(readings))
+        code, out, _ = run_cli(capsys, "compute", "--spec", "Dih(4)", *argv)
+        assert code == EXIT_OK
+        assert tsv_rows(out)[0]["elapsed_ms"] == "165"
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
@@ -200,6 +212,12 @@ class TestLimits:
                             "--n-max", "4", "--decimals", "3")
         rows = tsv_rows(out)
         assert rows[0]["approx"] == "0.700"
+
+    def test_negative_decimals_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["limits", "--family", "mpn", "--decimals", "-1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--decimals" in capsys.readouterr().err
 
     def test_two_group_families(self, capsys):
         for family in ("dihedral2n", "quaternion2n", "semidihedral2n"):

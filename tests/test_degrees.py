@@ -81,6 +81,14 @@ class TestKnownDegrees:
             DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3,
                          ndeg=Fraction(1, 2), method="guess")
 
+    @pytest.mark.parametrize("sd", [Fraction(7, 6), Fraction(1, 3)])
+    def test_sd_outside_ndeg_to_one_rejected(self, sd):
+        with pytest.raises(ValueError, match="sd out of range"):
+            DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3,
+                         ndeg=Fraction(1, 2), sd=sd)
+        DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3,
+                     ndeg=Fraction(1, 2), sd=Fraction(5, 6))
+
     def test_json_round_trip(self):
         report = ndeg_brute(build("Sym(3)"), spec_text="Sym(3)")
         data = json.loads(report.to_json())

@@ -257,3 +257,15 @@ class TestLedger:
         assert summary["records"] == 4
         assert summary["malformed"] == 1
         assert "line 4" in err.getvalue()
+
+    @pytest.mark.parametrize("line", [
+        "[1]",
+        '{"method": "brute", "spec": "C(2)", "ndeg": "1/0"}',
+        '{"method": ["brute"], "spec": "C(2)", "ndeg": "1/1"}',
+        '{"method": "brute", "spec": 7, "ndeg": "1/1"}',
+    ])
+    def test_records_of_the_wrong_shape_are_malformed(self, tmp_path, line):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(line + "\n")
+        summary = ledger_summarize(str(path), err=io.StringIO())
+        assert (summary["records"], summary["malformed"]) == (0, 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from normdeg.groups import (
     Product,
     build,
     check_params,
+    closure,
     element_order,
+    family_params,
     is_abelian,
     parse_spec,
     render,
@@ -105,6 +109,24 @@ class TestConstraints:
         with pytest.raises(ConstraintError) as err:
             check_params("SDP", (3, 7, 3))
         assert "k0**p == 1" in str(err.value)
+
+    # residue parameters are listed once, below their modulus
+    @pytest.mark.parametrize("name, arity, canonical", [
+        ("C", 1, None), ("Dih", 1, None), ("Q", 1, None), ("SD", 1, None),
+        ("Sym", 1, None), ("M", 2, None), ("EA", 2, None),
+        ("SDP", 3, lambda p, n, k0: k0 < n), ("ZM", 3, lambda m, n, r: r < m),
+    ])
+    def test_family_params_lists_every_valid_tuple(self, name, arity, canonical):
+        cap = 30
+        expected = []
+        for params in product(range(cap + 1), repeat=arity):
+            try:
+                term = Constructor(name, params)
+            except ConstraintError:
+                continue
+            if term.order() <= cap and (canonical is None or canonical(*params)):
+                expected.append(params)
+        assert family_params(name, cap) == expected
 
     def test_build_order_ceiling(self):
         with pytest.raises(ConstraintError):
@@ -219,6 +241,13 @@ class TestTables:
                             nxt.append(y)
                 frontier = nxt
             assert len(seen) == G.order
+
+    def test_closure_stops_past_the_limit(self):
+        G = build("Dih(6)")
+        assert closure(G.rows, [1]) == (0b111111, 6)
+        assert closure(G.rows, [1], limit=6) == (0b111111, 6)
+        assert closure(G.rows, [1], limit=5) is None
+        assert closure(G.rows, []) == (1, 1)
 
     def test_product_labels(self):
         G = build("C(2) x C(3)")

@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from normdeg.formulas import ndeg_semidirect, semidirect_bounds
+from normdeg.formulas import sdp_counts, semidirect_bounds
 from normdeg.groups import family_params
 from normdeg.numtheory import format_ratio, is_prime
 
@@ -45,7 +45,8 @@ def main(argv: list[str] | None = None) -> int:
     worst_gap = Fraction(0)
     worst_at = None
     for p, n, k0 in grid(primes, args.n_max):
-        nd = ndeg_semidirect(p, n, k0)
+        subgroups, normal = sdp_counts(p, n, k0)
+        nd = Fraction(normal, subgroups)
         b = semidirect_bounds(p, n, k0)
         print(f"{p}\t{n}\t{k0}\t{format_ratio(nd)}\t{format_ratio(b.upper)}"
               f"\t{format_ratio(b.lower_sigma)}\t{format_ratio(b.lower_index)}")

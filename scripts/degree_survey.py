@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from fractions import Fraction
 
-from normdeg.errors import CapExceededError, ConstraintError
+from normdeg.errors import ConstraintError
 from normdeg.explorer import catalog_ndeg, catalog_specs
 from normdeg.numtheory import format_ratio
 
@@ -22,23 +21,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--order-cap", type=int, default=64,
                         help="largest group order to include (default 64)")
-    parser.add_argument("--cap", type=int, default=512,
-                        help="enumeration ceiling for brute-force fallback")
     args = parser.parse_args(argv)
     try:
         catalog = catalog_specs(args.order_cap)
     except ConstraintError as exc:
         parser.error(str(exc))
 
-    rows: list[tuple[str, int, Fraction]] = []
-    skipped = 0
-    for spec, order in catalog:
-        try:
-            nd = catalog_ndeg(spec, order, cap=args.cap)
-        except CapExceededError:
-            skipped += 1
-            continue
-        rows.append((spec, order, nd))
+    rows = [(spec, order, catalog_ndeg(spec)) for spec, order in catalog]
 
     print("spec\torder\tndeg")
     for spec, order, nd in rows:
@@ -47,8 +36,8 @@ def main(argv: list[str] | None = None) -> int:
     values = Counter(nd for _, _, nd in rows)
     dedekind = sum(1 for _, _, nd in rows if nd == 1)
     low = min(rows, key=lambda r: r[2])
-    print(f"{len(rows)} groups, {len(values)} distinct degree values, "
-          f"{skipped} skipped beyond cap", file=sys.stderr)
+    print(f"{len(rows)} groups, {len(values)} distinct degree values",
+          file=sys.stderr)
     print(f"dedekind: {dedekind}/{len(rows)}", file=sys.stderr)
     print(f"minimum: {format_ratio(low[2])} at {low[0]}", file=sys.stderr)
     common = ", ".join(f"{format_ratio(v)} ({c})"

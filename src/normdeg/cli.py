@@ -84,7 +84,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
            format_ratio(report.sd) if report.sd is not None else "-",
            report.method, str(report.elapsed_ms)])
     if args.ledger:
-        explorer.ledger_append(args.ledger, report)
+        try:
+            explorer.ledger_append(args.ledger, report)
+        except OSError as exc:
+            print(f"cannot write ledger: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

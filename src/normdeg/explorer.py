@@ -26,7 +26,7 @@ from .errors import ConstraintError
 from .formulas import (Family, family_limit, family_member, formula_counts,
                        ndeg_family)
 from .groups import Constructor, GroupSpec, Product, build, family_params
-from .lattice import enumerate_subgroups
+from .lattice import DEFAULT_CAP, enumerate_subgroups
 from .numtheory import nth_primes
 
 # ---------------------------------------------------------------------------
@@ -126,12 +126,14 @@ def catalog_specs(order_cap: int) -> list[tuple[str, int]]:
     return [(spec, order) for order, _, _, spec in entries]
 
 
-def catalog_ndeg(spec: str, order: int, cap: int) -> Fraction:
-    """Normality degree of a catalog entry: closed form when backed, else brute force."""
+def catalog_ndeg(spec: str) -> Fraction:
+    """Normality degree of a catalog entry: closed form when backed, else brute
+    force with no enumeration cap (the catalog's order cap bounds the work)."""
     counts = formula_counts(spec)
     if counts is not None:
         return Fraction(counts[1], counts[0])
-    return ndeg_brute(build(spec), spec_text=spec, cap=max(cap, order)).ndeg
+    G = build(spec)
+    return ndeg_brute(G, cap=G.order).ndeg
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,9 @@ def conjecture_witness_rows(a_max: int, order_cap: int) -> list[WitnessRow]:
         target = Fraction(a, a + 1)
         crit = mpn_witnesses(a)
         hit = None
-        for spec, order in catalog:
+        for spec, _ in catalog:
             if spec not in degree_cache:
-                degree_cache[spec] = catalog_ndeg(spec, order, order_cap)
+                degree_cache[spec] = catalog_ndeg(spec)
             if degree_cache[spec] == target:
                 hit = spec
                 break
@@ -226,8 +228,7 @@ def _prime_power_grid(name: str, ranges: dict[str, tuple[int, int]]) -> _Grid:
         lambda r: itertools.product(_range(r["p"]) if "p" in r else (2,), _range(r["n"])),
         lambda p, n: family_member(family, p, n),
         "p={},n={}" if "p" in ranges else "n={1}",
-        _sizes(lambda p, n: (F.family_lattice_size(family, p, n),
-                             F.family_normal_count(family, p, n))))
+        _sizes(lambda p, n: F.family_counts(family, p, n)))
 
 
 # verification family -> prime-power family, also the `limits` choices
@@ -242,21 +243,20 @@ _GRIDS = {
                    if t[0] in _range(r["p"]) and t[1] in _range(r["n"])),
         lambda *t: Constructor("SDP", t),
         "p={},n={},k0={}",
-        _sizes(lambda p, n, k0: (F.lattice_size_semidirect(p, n, k0),
-                                 F.normal_count_semidirect(p, n, k0)))),
+        _sizes(F.sdp_counts)),
     "dihedral": _Grid(
         {"n": (3, 60)},
         lambda r: ((n,) for n in _range(r["n"])),
         lambda n: Constructor("Dih", (n,)),
         "n={}",
-        _sizes(lambda n: F.dihedral_counts(n))),
+        _sizes(F.dihedral_counts)),
     "zm": _Grid(
         {"mn": (2, 300)},
         lambda r: (t for t in family_params("ZM", r["mn"][1])
                    if t[0] * t[1] >= r["mn"][0]),
         lambda *t: Constructor("ZM", t),
         "m={},n={},r={}",
-        _sizes(lambda m, n, r: F.zm_counts(m, n, r))),
+        _sizes(F.zm_counts)),
     "mpn": _prime_power_grid("mpn", {"p": (2, 7), "n": (3, 9)}),
     "dihedral2n": _prime_power_grid("dihedral2n", {"n": (2, 9)}),
     "quaternion2n": _prime_power_grid("quaternion2n", {"n": (3, 9)}),
@@ -282,7 +282,7 @@ def default_ranges(family: str) -> dict[str, tuple[int, int]]:
 
 
 def verify_grid(family: str, ranges: dict[str, tuple[int, int]] | None = None,
-                cap: int = 512) -> tuple[list[VerifyRow], int]:
+                cap: int = DEFAULT_CAP) -> tuple[list[VerifyRow], int]:
     """Run one family's formula-vs-brute grid; returns (rows, skipped count)."""
     base = default_ranges(family)
     if ranges:

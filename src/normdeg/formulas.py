@@ -20,30 +20,20 @@ from .numtheory import divisors, gcd_divisor_sum, is_prime, sigma, tau
 # ---------------------------------------------------------------------------
 # cyclic-by-prime semidirect products SDP(p, n, k0)
 
-def lattice_size_semidirect(p: int, n: int, k0: int) -> int:
-    """Subgroup count of SDP(p, n, k0): tau(n) plus a gcd sum over divisors."""
-    check_params("SDP", (p, n, k0))
-    r = n // math.gcd(k0 - 1, n)
-    return tau(n) + gcd_divisor_sum(n, r)
+def sdp_counts(p: int, n: int, k0: int) -> tuple[int, int]:
+    """Subgroup and normal-subgroup counts of SDP(p, n, k0).
 
-
-def normal_count_semidirect(p: int, n: int, k0: int) -> int:
-    """Normal subgroup count of SDP(p, n, k0): tau(n) + tau(gcd(k0-1, n)).
-
-    The tau(n) divisor subgroups of the cyclic normal factor are always
-    normal.  A subgroup that projects onto the prime factor has normalizer
-    of order p*gcd(k(k0-1), n), so it is normal exactly when n/d divides k
-    with d = gcd(k0-1, n); that happens for tau(d) divisors k of n.  When
-    d == 1 this collapses to the familiar tau(n) + 1.
+    Subgroups: tau(n) plus a gcd sum over divisors.  Normal subgroups:
+    tau(n) + tau(d) with d = gcd(k0-1, n).  The tau(n) divisor subgroups
+    of the cyclic normal factor are always normal.  A subgroup that
+    projects onto the prime factor has normalizer of order
+    p*gcd(k(k0-1), n), so it is normal exactly when n/d divides k; that
+    happens for tau(d) divisors k of n.  When d == 1 this collapses to the
+    familiar tau(n) + 1.
     """
     check_params("SDP", (p, n, k0))
-    return tau(n) + tau(math.gcd(k0 - 1, n))
-
-
-def ndeg_semidirect(p: int, n: int, k0: int) -> Fraction:
-    """Normality degree of SDP(p, n, k0), exactly."""
-    return Fraction(normal_count_semidirect(p, n, k0),
-                    lattice_size_semidirect(p, n, k0))
+    d = math.gcd(k0 - 1, n)
+    return tau(n) + gcd_divisor_sum(n, n // d), tau(n) + tau(d)
 
 
 class SemidirectBounds(NamedTuple):
@@ -78,12 +68,6 @@ def dihedral_counts(n: int) -> tuple[int, int]:
     return total, normal
 
 
-def ndeg_dihedral(n: int) -> Fraction:
-    """Normality degree of Dih(n) for n >= 3, split on the parity of n."""
-    total, normal = dihedral_counts(n)
-    return Fraction(normal, total)
-
-
 # ---------------------------------------------------------------------------
 # metacyclic groups ZM(m, n, r) with cyclic Sylow subgroups
 
@@ -98,12 +82,6 @@ def zm_counts(m: int, n: int, r: int) -> tuple[int, int]:
     normal = sum(tau(math.gcd(m, (pow(r, n1, m) - 1) % m))
                  for n1 in divisors(n))
     return total, normal
-
-
-def ndeg_zm(m: int, n: int, r: int) -> Fraction:
-    """Normality degree of ZM(m, n, r), exactly."""
-    total, normal = zm_counts(m, n, r)
-    return Fraction(normal, total)
 
 
 # ---------------------------------------------------------------------------
@@ -171,35 +149,24 @@ def family_member(family: Family, p: int, n: int) -> Constructor:
     return Constructor(family.value, (n,))
 
 
-def family_order(family: Family, p: int, n: int) -> int:
-    """Group order p**n of the family member."""
-    return family_member(family, p, n).order()
-
-
-def family_lattice_size(family: Family, p: int, n: int) -> int:
-    """Subgroup count of the order-p**n family member."""
+def family_counts(family: Family, p: int, n: int) -> tuple[int, int]:
+    """Subgroup and normal-subgroup counts of the order-p**n family member."""
     family_member(family, p, n)
     if family is Family.MODULAR:
-        return (1 + p) * n + 1 - p
+        return (1 + p) * n + 1 - p, (1 + p) * n + 1 - 2 * p
     if family is Family.DIHEDRAL:
-        return 2 ** n + n - 1
-    if family is Family.QUATERNION:
-        return 2 ** (n - 1) + n - 1
-    return 3 * 2 ** (n - 2) + n - 1
-
-
-def family_normal_count(family: Family, p: int, n: int) -> int:
-    """Normal subgroup count of the order-p**n family member."""
-    family_member(family, p, n)
-    if family is Family.MODULAR:
-        return (1 + p) * n + 1 - 2 * p
-    return n + 3
+        total = 2 ** n + n - 1
+    elif family is Family.QUATERNION:
+        total = 2 ** (n - 1) + n - 1
+    else:
+        total = 3 * 2 ** (n - 2) + n - 1
+    return total, n + 3
 
 
 def ndeg_family(family: Family, p: int, n: int) -> Fraction:
     """Normality degree of the order-p**n family member, exactly."""
-    return Fraction(family_normal_count(family, p, n),
-                    family_lattice_size(family, p, n))
+    total, normal = family_counts(family, p, n)
+    return Fraction(normal, total)
 
 
 def family_limit(family: Family) -> Fraction:
@@ -210,19 +177,14 @@ def family_limit(family: Family) -> Fraction:
 # ---------------------------------------------------------------------------
 # dispatch from a parsed group description to a closed form, when one exists
 
-def _family_counts(family: Family, p: int, n: int) -> tuple[int, int]:
-    return family_lattice_size(family, p, n), family_normal_count(family, p, n)
-
-
 # closed forms by constructor name, called with the constructor's parameters
 _COUNTS = {
     "C": lambda n: (tau(n), tau(n)),
     "Dih": dihedral_counts,
-    "Q": lambda n: _family_counts(Family.QUATERNION, 2, n),
-    "SD": lambda n: _family_counts(Family.SEMIDIHEDRAL, 2, n),
-    "M": lambda p, n: _family_counts(Family.MODULAR, p, n),
-    "SDP": lambda p, n, k0: (lattice_size_semidirect(p, n, k0),
-                             normal_count_semidirect(p, n, k0)),
+    "Q": lambda n: family_counts(Family.QUATERNION, 2, n),
+    "SD": lambda n: family_counts(Family.SEMIDIHEDRAL, 2, n),
+    "M": lambda p, n: family_counts(Family.MODULAR, p, n),
+    "SDP": sdp_counts,
     "ZM": zm_counts,
 }
 

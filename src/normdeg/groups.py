@@ -8,6 +8,7 @@ axioms on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -62,13 +63,6 @@ class Product:
 
 
 GroupSpec = Constructor | Product
-
-
-def terms(spec: GroupSpec) -> list[Constructor]:
-    """Leaf constructors of a spec, left to right."""
-    if isinstance(spec, Constructor):
-        return [spec]
-    return terms(spec.left) + terms(spec.right)
 
 
 def render(spec: GroupSpec) -> str:
@@ -153,32 +147,16 @@ def _check_ea(params: tuple[int, ...]) -> tuple[str, str] | None:
 # table builders (numpy blocks; element ids documented per family)
 
 
-def _table_cyclic(n: int) -> tuple[np.ndarray, list[str]]:
+def _table_cyclic(n: int) -> np.ndarray:
     a = np.arange(n)
-    return (a[:, None] + a[None, :]) % n, [str(i) for i in range(n)]
-
-
-def _pow_label(sym: str, e: int) -> str:
-    if e == 0:
-        return ""
-    return sym if e == 1 else f"{sym}^{e}"
-
-
-def _pair_labels(m: int, k: int) -> list[str]:
-    # id = a*m + i stands for x^i y^a
-    out = []
-    for a in range(k):
-        for i in range(m):
-            word = " ".join(w for w in (_pow_label("x", i), _pow_label("y", a)) if w)
-            out.append(word or "1")
-    return out
+    return (a[:, None] + a[None, :]) % n
 
 
 def metacyclic_table(m: int, k: int, r: int) -> np.ndarray:
     """Table of <x,y | x^m = y^k = 1, y^-1 x y = x^r>; id of x^i y^a is a*m + i.
 
     Requires gcd(r, m) == 1 and r^k == 1 (mod m). Internally the product
-    uses s = r^-1 mod m so that the labeled generators satisfy the stated
+    uses s = r^-1 mod m so that x (id 1) and y (id m) satisfy the stated
     relation exactly.
     """
     if math.gcd(r, m) != 1 or pow(r, k, m) != 1 % m:
@@ -194,11 +172,7 @@ def metacyclic_table(m: int, k: int, r: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _metacyclic(m: int, k: int, r: int) -> tuple[np.ndarray, list[str]]:
-    return metacyclic_table(m, k, r), _pair_labels(m, k)
-
-
-def _table_quaternion(n: int) -> tuple[np.ndarray, list[str]]:
+def _table_quaternion(n: int) -> np.ndarray:
     # x of order 2^(n-1); y^2 = x^(2^(n-2)); y x y^-1 = x^-1
     m = 1 << (n - 1)
     h = 1 << (n - 2)
@@ -207,18 +181,17 @@ def _table_quaternion(n: int) -> tuple[np.ndarray, list[str]]:
     sub = (i[:, None] - i[None, :]) % m
     top = np.hstack([add, add + m])
     bot = np.hstack([sub + m, (sub + h) % m])
-    return np.vstack([top, bot]), _pair_labels(m, 2)
+    return np.vstack([top, bot])
 
 
-def _table_sdp(p: int, n: int, k0: int) -> tuple[np.ndarray, list[str]]:
+def _table_sdp(p: int, n: int, k0: int) -> np.ndarray:
     # pairs (x, y) in Z_p x Z_n with id x*n + y and
     # (x1,y1)*(x2,y2) = (x1+x2, k0^x2 * y1 + y2): the opposite product, so
     # the transposed table, of the metacyclic group with r = k0^-1
-    labels = [f"({x},{y})" for x in range(p) for y in range(n)]
-    return metacyclic_table(n, p, pow(k0, -1, n)).T, labels
+    return metacyclic_table(n, p, pow(k0, -1, n)).T
 
 
-def _table_sym(n: int) -> tuple[np.ndarray, list[str]]:
+def _table_sym(n: int) -> np.ndarray:
     perms = list(itertools.permutations(range(n)))
     rank = {p: i for i, p in enumerate(perms)}
     size = len(perms)
@@ -226,7 +199,7 @@ def _table_sym(n: int) -> tuple[np.ndarray, list[str]]:
     for a, pa in enumerate(perms):
         for b, pb in enumerate(perms):
             mul[a, b] = rank[tuple(pa[pb[i]] for i in range(n))]
-    return mul, ["".join(map(str, p)) for p in perms]
+    return mul
 
 
 def _product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,21 +209,8 @@ def _product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ).reshape(na * nb, na * nb)
 
 
-def _table_ea(p: int, k: int) -> tuple[np.ndarray, list[str]]:
-    mul, labels = _table_cyclic(p)
-    for _ in range(k - 1):
-        next_mul, _ = _table_cyclic(p)
-        mul = _product_table(mul, next_mul)
-    n = p**k
-    lab = []
-    for idx in range(n):
-        digits = []
-        v = idx
-        for _ in range(k):
-            digits.append(v % p)
-            v //= p
-        lab.append("(" + ",".join(map(str, reversed(digits))) + ")")
-    return mul, lab
+def _table_ea(p: int, k: int) -> np.ndarray:
+    return functools.reduce(_product_table, [_table_cyclic(p)] * k)
 
 
 def _singles(top: int):
@@ -274,7 +234,7 @@ class _Family:
     arity: int
     check: Callable[[tuple[int, ...]], tuple[str, str] | None]
     order: Callable[[tuple[int, ...]], int]
-    build: Callable[[tuple[int, ...]], tuple[np.ndarray, list[str]]]
+    build: Callable[[tuple[int, ...]], np.ndarray]
     candidates: Callable[[int], Iterable[tuple[int, ...]]]
 
 
@@ -282,22 +242,22 @@ _FAMILIES: dict[str, _Family] = {
     "C": _Family(1, _check_positive("C", 1), lambda p: p[0],
                  lambda p: _table_cyclic(p[0]), _singles),
     "Dih": _Family(1, _check_positive("Dih", 1), lambda p: 2 * p[0],
-                   lambda p: _metacyclic(p[0], 2, p[0] - 1),  # y x y = x^-1
+                   lambda p: metacyclic_table(p[0], 2, p[0] - 1),  # y x y = x^-1
                    lambda cap: _singles(cap // 2)),
     "Q": _Family(1, _check_positive("Q", 3), lambda p: 1 << p[0],
                  lambda p: _table_quaternion(p[0]), lambda cap: _singles(cap.bit_length())),
     "SD": _Family(1, _check_positive("SD", 4), lambda p: 1 << p[0],
-                  lambda p: _metacyclic(1 << (p[0] - 1), 2, (1 << (p[0] - 2)) - 1),
+                  lambda p: metacyclic_table(1 << (p[0] - 1), 2, (1 << (p[0] - 2)) - 1),
                   lambda cap: _singles(cap.bit_length())),
     "M": _Family(2, _check_mpn, lambda p: p[0] ** p[1],
-                 lambda p: _metacyclic(p[0] ** (p[1] - 1), p[0], p[0] ** (p[1] - 2) + 1),
+                 lambda p: metacyclic_table(p[0] ** (p[1] - 1), p[0], p[0] ** (p[1] - 2) + 1),
                  _prime_powers),
     "Sym": _Family(1, _check_sym, lambda p: math.factorial(p[0]),
                    lambda p: _table_sym(p[0]), _singles),
     "SDP": _Family(3, _check_sdp, lambda p: p[0] * p[1], lambda p: _table_sdp(*p),
                    lambda cap: ((p, n, k0) for p in range(2, cap + 1)
                                 for n in range(1, cap // p + 1) for k0 in range(n))),
-    "ZM": _Family(3, _check_zm, lambda p: p[0] * p[1], lambda p: _metacyclic(*p),
+    "ZM": _Family(3, _check_zm, lambda p: p[0] * p[1], lambda p: metacyclic_table(*p),
                   lambda cap: ((m, n, r) for m in range(1, cap + 1)
                                for n in range(1, cap // m + 1) for r in range(m))),
     "EA": _Family(2, _check_ea, lambda p: p[0] ** p[1], lambda p: _table_ea(*p),
@@ -404,9 +364,9 @@ class GroupTable:
     frozen after the axioms check.
     """
 
-    __slots__ = ("order", "mul", "inv", "labels", "spec_text", "_rows", "_fingerprint", "_generators")
+    __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_fingerprint", "_generators")
 
-    def __init__(self, mul, labels=None, spec_text=None, validate=True):
+    def __init__(self, mul, spec_text=None):
         mul = np.ascontiguousarray(mul)
         n = mul.shape[0]
         if mul.shape != (n, n):
@@ -419,13 +379,11 @@ class GroupTable:
         if len(where[0]) != n or not np.array_equal(where[0], np.arange(n)):
             raise ValueError("table has no unique two-sided inverse per element")
         self.inv = where[1].astype(dtype)
-        self.labels = list(labels) if labels is not None else None
         self.spec_text = spec_text
         self._rows = None
         self._fingerprint = None
         self._generators = None
-        if validate:
-            self.validate()
+        self.validate()
         self.mul.flags.writeable = False
         self.inv.flags.writeable = False
 
@@ -521,12 +479,7 @@ def element_order(G: GroupTable, x: int) -> int:
     return closure(G.rows, [x])[1]
 
 
-def is_abelian(G: GroupTable) -> bool:
-    """True when the table is symmetric."""
-    return bool(np.array_equal(G.mul, G.mul.T))
-
-
-def build(spec: GroupSpec | str, validate: bool = True) -> GroupTable:
+def build(spec: GroupSpec | str) -> GroupTable:
     """Materialize the multiplication table for a spec (string or AST)."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
@@ -536,14 +489,10 @@ def build(spec: GroupSpec | str, validate: bool = True) -> GroupTable:
             "group too large to materialize",
             f"order {order} exceeds build ceiling {MAX_BUILD_ORDER}",
         )
-    mul, labels = _build_raw(spec)
-    return GroupTable(mul, labels=labels, spec_text=render(spec), validate=validate)
+    return GroupTable(_build_raw(spec), spec_text=render(spec))
 
 
-def _build_raw(spec: GroupSpec) -> tuple[np.ndarray, list[str]]:
+def _build_raw(spec: GroupSpec) -> np.ndarray:
     if isinstance(spec, Constructor):
         return _FAMILIES[spec.name].build(spec.params)
-    mul_a, lab_a = _build_raw(spec.left)
-    mul_b, lab_b = _build_raw(spec.right)
-    labels = [f"({a},{b})" for a in lab_a for b in lab_b]
-    return _product_table(mul_a, mul_b), labels
+    return _product_table(_build_raw(spec.left), _build_raw(spec.right))

@@ -92,17 +92,9 @@ class SubgroupLattice:
         for cls in classes:
             if len(cls) == 1:
                 self.normal_flags[cls[0]] = True
-        self._index = {s.mask: i for i, s in enumerate(subgroups)}
 
     def __len__(self) -> int:
         return len(self.subgroups)
-
-    def index_of(self, mask: int) -> int:
-        return self._index[mask]
-
-    @property
-    def normal_indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.normal_flags) if f]
 
     @property
     def normal_count(self) -> int:
@@ -115,15 +107,6 @@ class SubgroupLattice:
             if s.mask | mask == s.mask:
                 return s.size
         raise ValueError("mask not contained in the full group")
-
-
-def generated_subgroup(G: GroupTable, seed) -> SubgroupSet:
-    """Smallest subgroup containing the seed elements; empty seed gives {0}."""
-    gens = sorted(set(seed))
-    for g in gens:
-        if not 0 <= g < G.order:
-            raise ValueError(f"element {g} outside 0..{G.order - 1}")
-    return SubgroupSet(*closure(G.rows, gens))
 
 
 def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattice:
@@ -312,5 +295,4 @@ def subgroup_table(G: GroupTable, H: SubgroupSet) -> GroupTable:
     local = {e: i for i, e in enumerate(elems)}
     rows = G.rows
     table = [[local[rows[a][b]] for b in elems] for a in elems]
-    labels = [G.labels[e] for e in elems] if G.labels else None
-    return GroupTable(table, labels=labels, spec_text=None, validate=True)
+    return GroupTable(table)

@@ -31,9 +31,9 @@ from normdeg.degrees import (
 from normdeg.explorer import density_sequence, limits_rows, verify_grid
 from normdeg.formulas import (
     Family,
+    dihedral_counts,
     formula_counts,
-    ndeg_dihedral,
-    ndeg_semidirect,
+    sdp_counts,
     semidirect_bounds,
 )
 from normdeg.groups import build
@@ -137,7 +137,7 @@ def test_acceptance_3_structural_invariants():
     for spec in CORPUS:
         G = build(spec)
         lat = enumerate_subgroups(G, cap=1024)
-        normal = set(lat.normal_indices)
+        normal = {i for i, flag in enumerate(lat.normal_flags) if flag}
         fix_conj, fix_core = fix_points(G, lat)
         if not (fix_conj == fix_core == normal):
             problems.append((spec, "fixed-point sets differ"))
@@ -176,7 +176,8 @@ def test_acceptance_4_bounds():
     problems = []
     sigma_equality = set()
     for p, n, k0 in sdp_grid():
-        nd = ndeg_semidirect(p, n, k0)
+        total, normal = sdp_counts(p, n, k0)
+        nd = Fraction(normal, total)
         b = semidirect_bounds(p, n, k0)
         if not (b.lower_sigma <= nd <= b.upper and b.lower_index <= nd):
             problems.append((p, n, k0, "sandwich violated"))
@@ -205,7 +206,8 @@ def test_acceptance_4_bounds():
     for n in range(3, 61):
         if n == 4:
             continue
-        nd = ndeg_dihedral(n)
+        total, normal = dihedral_counts(n)
+        nd = Fraction(normal, total)
         if nd > Fraction(1, 2) or (nd == Fraction(1, 2)) != (n == 3):
             problems.append((n, "dihedral ceiling violated", nd))
     verdict(4, "bounds", not problems,

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import normdeg.cli
-import normdeg.formulas
+from normdeg import explorer
 from normdeg.cli import (
     EXIT_CAP,
     EXIT_CONSTRAINT,
@@ -19,6 +19,7 @@ from normdeg.cli import (
     EXIT_USAGE,
     main,
 )
+from normdeg.formulas import sdp_counts
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +89,14 @@ class TestCompute:
         assert record["spec"] == "Dih(4)"
         assert record["ndeg"] == "3/5"
 
+    def test_unwritable_ledger_is_reported(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "compute", "--spec", "C(2)",
+                                 "--ledger", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert tsv_rows(out)[0]["ndeg"] == "1/1"
+        assert err.startswith("cannot write ledger: ")
+        assert "Traceback" not in err
+
     def test_formula_method_without_closed_form(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--spec", "EA(2,3)",
                                "--method", "formula")
@@ -144,8 +153,9 @@ class TestVerify:
         assert "beyond cap" in err
 
     def test_mismatch_sets_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(normdeg.formulas, "lattice_size_semidirect",
-                            lambda p, n, k0: 999)
+        sdp = explorer._GRIDS["sdp"]
+        wrong = explorer._sizes(lambda p, n, k0: (999, sdp_counts(p, n, k0)[1]))
+        monkeypatch.setitem(explorer._GRIDS, "sdp", sdp._replace(checks=wrong))
         code, out, err = run_cli(capsys, "verify", "--family", "sdp",
                                  "--range", "p=2..2,n=3..3")
         assert code == EXIT_MISMATCH

@@ -153,8 +153,8 @@ class TestCatalog:
         assert "EA(2,6)" not in specs
 
     def test_catalog_degree_uses_formulas_when_available(self):
-        assert catalog_ndeg("M(5,4)", 625, cap=64) == Fraction(3, 4)
-        assert catalog_ndeg("Sym(4)", 24, cap=512) == Fraction(2, 15)
+        assert catalog_ndeg("M(5,4)") == Fraction(3, 4)
+        assert catalog_ndeg("Sym(4)") == Fraction(2, 15)
 
 
 class TestVerifyGrid:

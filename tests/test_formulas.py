@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from normdeg import formulas
 from normdeg.degrees import ndeg_brute
 from normdeg.errors import ConstraintError
 from normdeg.formulas import (
@@ -20,22 +21,22 @@ from normdeg.formulas import (
     abelian_rank2_count,
     abelian_rank2_total,
     dihedral_counts,
-    family_lattice_size,
+    family_counts,
     family_limit,
-    family_normal_count,
-    family_order,
+    family_member,
     formula_counts,
-    lattice_size_semidirect,
-    ndeg_dihedral,
     ndeg_family,
-    ndeg_semidirect,
-    ndeg_zm,
-    normal_count_semidirect,
+    sdp_counts,
     semidirect_bounds,
     zm_counts,
 )
 from normdeg.groups import build, parse_spec
 from normdeg.numtheory import sigma, tau
+
+
+def degree(counts: tuple[int, int]) -> Fraction:
+    total, normal = counts
+    return Fraction(normal, total)
 
 
 def valid_semidirect(p: int, n: int, k0: int) -> bool:
@@ -54,19 +55,17 @@ def semidirect_triples(draw):
 
 class TestSemidirect:
     def test_order21_counts(self):
-        assert lattice_size_semidirect(3, 7, 2) == 10
-        assert normal_count_semidirect(3, 7, 2) == 3
-        assert ndeg_semidirect(3, 7, 2) == Fraction(3, 10)
+        assert sdp_counts(3, 7, 2) == (10, 3)
+        assert degree(sdp_counts(3, 7, 2)) == Fraction(3, 10)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 21, 33])
     def test_odd_dihedral_slice(self, n):
         # k0 = n-1 inverts the rotation subgroup, giving Dih(n)
-        assert lattice_size_semidirect(2, n, n - 1) == tau(n) + sigma(n)
-        assert normal_count_semidirect(2, n, n - 1) == tau(n) + 1
+        assert sdp_counts(2, n, n - 1) == (tau(n) + sigma(n), tau(n) + 1)
 
     def test_small_values(self):
-        assert ndeg_semidirect(2, 3, 2) == Fraction(1, 2)
-        assert ndeg_semidirect(2, 5, 4) == Fraction(3, 8)
+        assert degree(sdp_counts(2, 3, 2)) == Fraction(1, 2)
+        assert degree(sdp_counts(2, 5, 4)) == Fraction(3, 8)
 
     @pytest.mark.parametrize("p, n, k0, counts", [
         (2, 15, 4, (16, 6)),    # gcd(k0-1, n) = 3: extra normal cyclics
@@ -74,16 +73,14 @@ class TestSemidirect:
         (2, 21, 8, (12, 6)),    # gcd = 7
     ])
     def test_nontrivial_fixed_part(self, p, n, k0, counts):
-        assert (lattice_size_semidirect(p, n, k0),
-                normal_count_semidirect(p, n, k0)) == counts
+        assert sdp_counts(p, n, k0) == counts
 
     @pytest.mark.parametrize("p, n, k0", [
         (3, 7, 2), (2, 15, 4), (3, 28, 9), (5, 11, 3), (2, 9, 8),
     ])
     def test_matches_brute_force(self, p, n, k0):
         report = ndeg_brute(build(f"SDP({p},{n},{k0})"), cap=1024)
-        assert report.lattice_size == lattice_size_semidirect(p, n, k0)
-        assert report.normal_count == normal_count_semidirect(p, n, k0)
+        assert (report.lattice_size, report.normal_count) == sdp_counts(p, n, k0)
 
     def test_bounds_order21(self):
         b = semidirect_bounds(3, 7, 2)
@@ -96,7 +93,7 @@ class TestSemidirect:
         (3, 28, 9), (2, 33, 10), (7, 29, 7),
     ])
     def test_bounds_sandwich(self, p, n, k0):
-        nd = ndeg_semidirect(p, n, k0)
+        nd = degree(sdp_counts(p, n, k0))
         b = semidirect_bounds(p, n, k0)
         assert b.lower_sigma <= nd <= b.upper
         assert b.lower_index <= nd
@@ -106,7 +103,7 @@ class TestSemidirect:
     def test_bounds_sandwich_random(self, triple):
         p, n, k0 = triple
         assert valid_semidirect(p, n, k0)
-        nd = ndeg_semidirect(p, n, k0)
+        nd = degree(sdp_counts(p, n, k0))
         b = semidirect_bounds(p, n, k0)
         assert b.lower_index <= nd <= b.upper
         assert b.lower_sigma <= nd
@@ -117,9 +114,9 @@ class TestSemidirect:
         tight = [(2, 3, 2), (2, 9, 8), (3, 7, 2), (5, 11, 3)]
         slack = [(2, 15, 4), (3, 28, 9), (2, 21, 8)]
         for p, n, k0 in tight:
-            assert ndeg_semidirect(p, n, k0) == semidirect_bounds(p, n, k0).lower_sigma
+            assert degree(sdp_counts(p, n, k0)) == semidirect_bounds(p, n, k0).lower_sigma
         for p, n, k0 in slack:
-            assert ndeg_semidirect(p, n, k0) > semidirect_bounds(p, n, k0).lower_sigma
+            assert degree(sdp_counts(p, n, k0)) > semidirect_bounds(p, n, k0).lower_sigma
 
     @pytest.mark.parametrize("p, n, k0", [
         (4, 7, 2),    # p not prime
@@ -130,7 +127,7 @@ class TestSemidirect:
     ])
     def test_rejects_bad_parameters(self, p, n, k0):
         with pytest.raises(ConstraintError):
-            ndeg_semidirect(p, n, k0)
+            sdp_counts(p, n, k0)
 
 
 class TestDihedral:
@@ -141,14 +138,14 @@ class TestDihedral:
         assert dihedral_counts(n) == counts
 
     def test_known_degrees(self):
-        assert ndeg_dihedral(3) == Fraction(1, 2)
-        assert ndeg_dihedral(6) == Fraction(7, 16)
+        assert degree(dihedral_counts(3)) == Fraction(1, 2)
+        assert degree(dihedral_counts(6)) == Fraction(7, 16)
 
     def test_half_is_the_ceiling_past_the_abelian_cases(self):
         for n in range(3, 200):
             if n == 4:
                 continue
-            nd = ndeg_dihedral(n)
+            nd = degree(dihedral_counts(n))
             assert nd <= Fraction(1, 2)
             assert (nd == Fraction(1, 2)) == (n == 3)
 
@@ -166,14 +163,14 @@ class TestDihedral:
 class TestZM:
     def test_order6_counts(self):
         assert zm_counts(3, 2, 2) == (6, 3)
-        assert ndeg_zm(3, 2, 2) == Fraction(1, 2)
+        assert degree(zm_counts(3, 2, 2)) == Fraction(1, 2)
 
     def test_order20_counts(self):
         assert zm_counts(5, 4, 2) == (14, 4)
 
     def test_trivial_kernel_collapses_to_cyclic(self):
         assert zm_counts(1, 6, 1) == (4, 4)
-        assert ndeg_zm(1, 12, 1) == 1
+        assert degree(zm_counts(1, 12, 1)) == 1
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 21, 27, 33])
     def test_dihedral_route_agreement(self, m):
@@ -182,8 +179,7 @@ class TestZM:
     @pytest.mark.parametrize("m, n, k0", [(7, 3, 2), (11, 5, 3), (31, 3, 5)])
     def test_semidirect_route_agreement(self, m, n, k0):
         # same group described with the roles of the two factors swapped
-        assert zm_counts(m, n, k0) == (lattice_size_semidirect(n, m, k0),
-                                       normal_count_semidirect(n, m, k0))
+        assert zm_counts(m, n, k0) == sdp_counts(n, m, k0)
 
     @pytest.mark.parametrize("m, n, r", [
         (5, 4, 2), (7, 3, 2), (5, 2, 4), (13, 4, 5), (13, 3, 3),
@@ -229,7 +225,7 @@ class TestAbelianRank2:
 
     @pytest.mark.parametrize("p, n", [(2, 4), (2, 6), (3, 3), (3, 5), (5, 3)])
     def test_modular_groups_share_the_abelian_lattice_size(self, p, n):
-        assert family_lattice_size(Family.MODULAR, p, n) == \
+        assert family_counts(Family.MODULAR, p, n)[0] == \
                abelian_rank2_total(p, 1, n - 1)
 
     def test_rejects_bad_parameters(self):
@@ -243,10 +239,10 @@ class TestAbelianRank2:
 
 class TestPrimePowerFamilies:
     def test_orders(self):
-        assert family_order(Family.MODULAR, 3, 3) == 27
-        assert family_order(Family.DIHEDRAL, 2, 4) == 16
-        assert family_order(Family.QUATERNION, 2, 3) == 8
-        assert family_order(Family.SEMIDIHEDRAL, 2, 4) == 16
+        assert family_member(Family.MODULAR, 3, 3).order() == 27
+        assert family_member(Family.DIHEDRAL, 2, 4).order() == 16
+        assert family_member(Family.QUATERNION, 2, 3).order() == 8
+        assert family_member(Family.SEMIDIHEDRAL, 2, 4).order() == 16
 
     @pytest.mark.parametrize("family, p, n, counts", [
         (Family.MODULAR, 3, 3, (10, 7)),
@@ -259,8 +255,7 @@ class TestPrimePowerFamilies:
         (Family.SEMIDIHEDRAL, 2, 4, (15, 7)),
     ])
     def test_counts(self, family, p, n, counts):
-        assert (family_lattice_size(family, p, n),
-                family_normal_count(family, p, n)) == counts
+        assert family_counts(family, p, n) == counts
 
     def test_known_degrees(self):
         assert ndeg_family(Family.QUATERNION, 2, 3) == 1
@@ -269,7 +264,14 @@ class TestPrimePowerFamilies:
 
     def test_dihedral_family_agrees_with_general_dihedral(self):
         for n in range(3, 12):
-            assert ndeg_family(Family.DIHEDRAL, 2, n) == ndeg_dihedral(2 ** (n - 1))
+            assert ndeg_family(Family.DIHEDRAL, 2, n) == degree(dihedral_counts(2 ** (n - 1)))
+
+    def test_degree_checks_the_member_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(formulas, "family_member",
+                            lambda *args: calls.append(args) or family_member(*args))
+        assert ndeg_family(Family.MODULAR, 3, 5) == Fraction(15, 18)
+        assert calls == [(Family.MODULAR, 3, 5)]
 
     def test_limits(self):
         assert family_limit(Family.MODULAR) == 1

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from time import perf_counter
 
 from . import explorer
@@ -67,14 +66,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
         lattice = enumerate_subgroups(table, cap=args.cap)
         if method != "formula":
             route = ndeg_brute if method == "brute" else ndeg_conjugacy
-            found = route(table, spec_text=text, lattice=lattice, cap=args.cap)
+            found = route(table, spec_text=text, lattice=lattice)
             counts = found.lattice_size, found.normal_count
         if args.sd:
-            sd = sd_brute(table, lattice=lattice, cap=args.cap)
+            sd = sd_brute(table, lattice=lattice)
     total, normal = counts
     report = DegreeReport(
         spec=text, order=spec.order(), lattice_size=total, normal_count=normal,
-        ndeg=Fraction(normal, total), sd=sd, method=method,
+        sd=sd, method=method,
         elapsed_ms=int((perf_counter() - start) * 1000))
     header = ["spec", "order", "lattice_size", "normal_count", "ndeg", "sd",
               "method", "elapsed_ms"]
@@ -122,6 +121,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                str(row.brute_value), "ok" if ok else "mismatch"])
     print(f"{len(rows)} comparisons, {mismatches} mismatches, "
           f"{skipped} tuples beyond cap", file=sys.stderr)
+    if not rows:  # a run that compared nothing verified nothing
+        return EXIT_CAP if skipped else EXIT_USAGE
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
@@ -131,10 +132,15 @@ def cmd_density(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad target {args.target!r}: {exc}", 0)
     steps = explorer.density_sequence(target, steps=args.steps)
+    try:
+        rows = [[str(s.index), " x ".join(s.factor_specs), format_ratio(s.ndeg),
+                 format_ratio(s.target), format_ratio(s.gap)] for s in steps]
+    except ValueError:  # Python's integer-to-string digit limit
+        raise ConstraintError("exact degree too long to print",
+                              "use a target a/b with a smaller b - a")
     _emit(["step", "group", "ndeg", "target", "gap"])
-    for s in steps:
-        _emit([str(s.index), " x ".join(s.factor_specs), format_ratio(s.ndeg),
-               format_ratio(s.target), format_ratio(s.gap)])
+    for row in rows:
+        _emit(row)
     return EXIT_OK
 
 

@@ -7,16 +7,14 @@ normalizer indices, and (for coprime direct products) multiplicativity.
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConstraintError
 from .groups import GroupTable
-from .lattice import DEFAULT_CAP, SubgroupLattice, enumerate_subgroups, normalizer
+from .lattice import SubgroupLattice, enumerate_subgroups, normalizer
 from .numtheory import factorize, format_ratio
 
 METHODS = ("brute", "conjugacy", "formula", "product")
@@ -24,22 +22,23 @@ METHODS = ("brute", "conjugacy", "formula", "product")
 
 @dataclass
 class DegreeReport:
-    """Result bundle for one group; ndeg == normal_count/lattice_size exactly."""
+    """Result bundle for one group; ndeg is normal_count/lattice_size exactly."""
 
     spec: str
     order: int
     lattice_size: int
     normal_count: int
-    ndeg: Fraction
     sd: Fraction | None = None
     method: str = "brute"
     elapsed_ms: int = 0
 
+    @property
+    def ndeg(self) -> Fraction:
+        return Fraction(self.normal_count, self.lattice_size)
+
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.ndeg != Fraction(self.normal_count, self.lattice_size):
-            raise ValueError("ndeg does not match normal_count/lattice_size")
         if not 0 < self.ndeg <= 1:
             raise ValueError("ndeg out of range (0, 1]")
         if self.sd is not None and not self.ndeg <= self.sd <= 1:
@@ -57,20 +56,15 @@ class DegreeReport:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def _route_report(G: GroupTable, spec_text: str | None, total: int, normal: int,
-                  method: str, start: float) -> DegreeReport:
+                  method: str) -> DegreeReport:
     return DegreeReport(
         spec=spec_text or G.spec_text or f"<order {G.order}>",
         order=G.order,
         lattice_size=total,
         normal_count=normal,
-        ndeg=Fraction(normal, total),
         method=method,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )
 
 
@@ -78,59 +72,51 @@ def ndeg_brute(
     G: GroupTable,
     spec_text: str | None = None,
     lattice: SubgroupLattice | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> DegreeReport:
     """Normal-subgroup count over subgroup count from the full lattice."""
-    start = time.perf_counter()
-    lat = lattice if lattice is not None else enumerate_subgroups(G, cap)
-    return _route_report(G, spec_text, len(lat), lat.normal_count, "brute", start)
+    lat = lattice if lattice is not None else enumerate_subgroups(G)
+    return _route_report(G, spec_text, len(lat), lat.normal_count, "brute")
 
 
 def ndeg_conjugacy(
     G: GroupTable,
     spec_text: str | None = None,
     lattice: SubgroupLattice | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> DegreeReport:
     """Same value through class representatives and normalizer indices."""
-    start = time.perf_counter()
-    lat = lattice if lattice is not None else enumerate_subgroups(G, cap)
+    lat = lattice if lattice is not None else enumerate_subgroups(G)
     normal = lat.normal_count
     denom = normal
     for cls in lat.classes:
         if len(cls) > 1:
             rep = lat.subgroups[cls[0]]
             denom += G.order // normalizer(G, rep).size
-    return _route_report(G, spec_text, denom, normal, "conjugacy", start)
+    return _route_report(G, spec_text, denom, normal, "conjugacy")
 
 
 def sd_brute(
     G: GroupTable,
     lattice: SubgroupLattice | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> Fraction:
     """Fraction of ordered subgroup pairs (H, K) whose product set is a subgroup.
 
-    HK is a subgroup exactly when |H||K|/|H meet K| (the product-set size)
-    equals the size of the join, so each pair needs only bitset work.
+    HK has t = |H||K|/|H meet K| elements, and it is a subgroup exactly when
+    some subgroup of order t contains H and K (that subgroup is then HK).
     """
-    lat = lattice if lattice is not None else enumerate_subgroups(G, cap)
+    lat = lattice if lattice is not None else enumerate_subgroups(G)
     subs = [(s.mask, s.size) for s in lat.subgroups]
+    by_size: dict[int, list[int]] = {}
+    for mask, size in subs:
+        by_size.setdefault(size, []).append(mask)
     k = len(subs)
-    n = G.order
     ordered = 0
     for i in range(k):
         mask_i, size_i = subs[i]
         for j in range(i, k):
             mask_j, size_j = subs[j]
+            union = mask_i | mask_j
             t = size_i * size_j // (mask_i & mask_j).bit_count()
-            if t == size_i or t == size_j:
-                good = True  # one factor absorbs the other
-            elif n % t:
-                good = False  # product-set size cannot be a subgroup order
-            else:
-                good = lat.min_container_size(mask_i | mask_j) == t
-            if good:
+            if any(m & union == union for m in by_size.get(t, ())):
                 ordered += 1 if i == j else 2
     return Fraction(ordered, k * k)
 
@@ -138,18 +124,15 @@ def sd_brute(
 def is_dedekind(
     G: GroupTable,
     lattice: SubgroupLattice | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> bool:
     """True when every subgroup is normal."""
-    lat = lattice if lattice is not None else enumerate_subgroups(G, cap)
+    lat = lattice if lattice is not None else enumerate_subgroups(G)
     return lat.normal_count == len(lat)
 
 
 def pgroup_bound_check(
     G: GroupTable,
-    p: int,
     lattice: SubgroupLattice | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> tuple[Fraction, bool]:
     """Upper bound |N|/(|N| + p*s) for p-groups, and whether ndeg meets it.
 
@@ -157,11 +140,12 @@ def pgroup_bound_check(
     has size at least p in a p-group.
     """
     fac = factorize(G.order)
-    if len(fac) != 1 or fac[0][0] != p:
+    if len(fac) != 1:
         raise ConstraintError(
-            "p-group bound needs a p-group", f"order {G.order} is not a power of {p}"
+            "p-group bound needs a p-group", f"order {G.order} is not a prime power"
         )
-    lat = lattice if lattice is not None else enumerate_subgroups(G, cap)
+    p = fac[0][0]
+    lat = lattice if lattice is not None else enumerate_subgroups(G)
     normal = lat.normal_count
     multi = sum(1 for cls in lat.classes if len(cls) > 1)
     bound = Fraction(normal, normal + p * multi)
@@ -182,18 +166,14 @@ def ndeg_coprime_product(parts: list[DegreeReport]) -> DegreeReport:
     order = 1
     lattice_size = 1
     normal = 1
-    ndeg = Fraction(1)
     for part in parts:
         order *= part.order
         lattice_size *= part.lattice_size
         normal *= part.normal_count
-        ndeg *= part.ndeg
     return DegreeReport(
         spec=" x ".join(part.spec for part in parts),
         order=order,
         lattice_size=lattice_size,
         normal_count=normal,
-        ndeg=ndeg,
         method="product",
-        elapsed_ms=sum(part.elapsed_ms for part in parts),
     )

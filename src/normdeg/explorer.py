@@ -133,7 +133,7 @@ def catalog_ndeg(spec: str) -> Fraction:
     if counts is not None:
         return Fraction(counts[1], counts[0])
     G = build(spec)
-    return ndeg_brute(G, cap=G.order).ndeg
+    return ndeg_brute(G, lattice=enumerate_subgroups(G, cap=G.order)).ndeg
 
 
 @dataclass(frozen=True)

@@ -100,14 +100,6 @@ class SubgroupLattice:
     def normal_count(self) -> int:
         return sum(self.normal_flags)
 
-    def min_container_size(self, mask: int) -> int:
-        """Size of the smallest subgroup containing `mask` (the join, since
-        the lattice is complete and canonical order is size-ascending)."""
-        for s in self.subgroups:
-            if s.mask | mask == s.mask:
-                return s.size
-        raise ValueError("mask not contained in the full group")
-
 
 def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattice:
     """All subgroups of G; raises CapExceededError when G.order > cap."""

@@ -173,6 +173,7 @@ class _PrimeCache:
     """Grow-only sieve of consecutive primes, safe for concurrent readers."""
 
     _HARD_LIMIT = 1 << 26
+    _HARD_COUNT = 3_957_809  # primes below _HARD_LIMIT, counted by sieving
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -192,12 +193,12 @@ class _PrimeCache:
         if start_index < 0 or count < 0:
             raise ValueError("prime indices must be nonnegative")
         need = start_index + count
+        if need > self._HARD_COUNT:
+            raise SieveExhaustedError(
+                f"prime index {need - 1} beyond sieve bound {self._HARD_LIMIT}"
+            )
         with self._lock:
             while len(self._primes) < need:
-                if self._limit >= self._HARD_LIMIT:
-                    raise SieveExhaustedError(
-                        f"prime index {need - 1} beyond sieve bound {self._HARD_LIMIT}"
-                    )
                 self._grow(max(1 << 16, self._limit * 2))
             return self._primes[start_index : start_index + count]
 

@@ -91,7 +91,9 @@ def test_acceptance_1_regression_values():
     ]
     problems = []
     for spec, field, value in expected:
-        report = ndeg_brute(build(spec), spec_text=spec, cap=1024)
+        G = build(spec)
+        report = ndeg_brute(G, spec_text=spec,
+                            lattice=enumerate_subgroups(G, cap=1024))
         if getattr(report, field) != value:
             problems.append((spec, field, getattr(report, field), value))
         counts = formula_counts(spec)
@@ -157,7 +159,7 @@ def test_acceptance_3_structural_invariants():
             ndeg_brute(build(left), spec_text=left),
             ndeg_brute(build(right), spec_text=right),
         ])
-        direct = ndeg_brute(build(f"{left} x {right}"), cap=1024)
+        direct = ndeg_brute(build(f"{left} x {right}"))
         if (combined.ndeg, combined.lattice_size) != \
                 (direct.ndeg, direct.lattice_size):
             problems.append((left, right, "product rule disagrees"))
@@ -200,7 +202,8 @@ def test_acceptance_4_bounds():
         if len(factors) != 1:
             continue
         pgroups += 1
-        bound, holds = pgroup_bound_check(G, factors[0][0], cap=1024)
+        bound, holds = pgroup_bound_check(
+            G, lattice=enumerate_subgroups(G, cap=1024))
         if not holds:
             problems.append((spec, "p-group bound fails", bound))
     for n in range(3, 61):

@@ -152,6 +152,20 @@ class TestVerify:
         assert code == EXIT_OK
         assert "beyond cap" in err
 
+    def test_everything_beyond_cap_compares_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "dihedral",
+                                 "--cap", "0")
+        assert code == EXIT_CAP
+        assert tsv_rows(out) == []
+        assert "0 comparisons, 0 mismatches, 58 tuples beyond cap" in err
+
+    def test_empty_range_compares_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "dihedral",
+                                 "--range", "n=12..3")
+        assert code == EXIT_USAGE
+        assert tsv_rows(out) == []
+        assert "0 comparisons, 0 mismatches, 0 tuples beyond cap" in err
+
     def test_mismatch_sets_exit_code(self, capsys, monkeypatch):
         sdp = explorer._GRIDS["sdp"]
         wrong = explorer._sizes(lambda p, n, k0: (999, sdp_counts(p, n, k0)[1]))
@@ -193,6 +207,14 @@ class TestDensity:
     def test_target_outside_unit_interval_is_a_constraint_error(self, capsys):
         code, _, _ = run_cli(capsys, "density", "--target", "5/3")
         assert code == EXIT_CONSTRAINT
+
+    def test_value_past_the_digit_limit_is_a_constraint_error(self, capsys):
+        code, out, err = run_cli(capsys, "density", "--target", "1/1000",
+                                 "--steps", "1")
+        assert code == EXIT_CONSTRAINT
+        assert out == ""
+        assert err.startswith("constraint violation: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestConjecture43:

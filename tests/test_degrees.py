@@ -62,7 +62,8 @@ class TestKnownDegrees:
         assert ndeg_brute(build(spec)).ndeg == value
 
     def test_modular_625_with_cap_override(self):
-        report = ndeg_brute(build("M(5,4)"), cap=1024)
+        G = build("M(5,4)")
+        report = ndeg_brute(G, lattice=enumerate_subgroups(G, cap=1024))
         assert report.ndeg == Fraction(3, 4)
         assert (report.lattice_size, report.normal_count) == (20, 15)
 
@@ -74,24 +75,23 @@ class TestKnownDegrees:
                ndeg_brute(G, lattice=lat).ndeg
 
     def test_report_consistency_validated(self):
+        report = DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3)
+        assert report.ndeg == Fraction(1, 2)
         with pytest.raises(ValueError):
             DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3,
-                         ndeg=Fraction(1, 3))
-        with pytest.raises(ValueError):
-            DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3,
-                         ndeg=Fraction(1, 2), method="guess")
+                         method="guess")
 
     @pytest.mark.parametrize("sd", [Fraction(7, 6), Fraction(1, 3)])
     def test_sd_outside_ndeg_to_one_rejected(self, sd):
         with pytest.raises(ValueError, match="sd out of range"):
             DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3,
-                         ndeg=Fraction(1, 2), sd=sd)
+                         sd=sd)
         DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3,
-                     ndeg=Fraction(1, 2), sd=Fraction(5, 6))
+                     sd=Fraction(5, 6))
 
     def test_json_round_trip(self):
         report = ndeg_brute(build("Sym(3)"), spec_text="Sym(3)")
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_json_dict()))
         assert data == {
             "spec": "Sym(3)", "order": 6, "lattice_size": 6,
             "normal_count": 3, "ndeg": "1/2", "sd": None,
@@ -104,6 +104,7 @@ class TestCommutativityDegree:
     @pytest.mark.parametrize("spec", [
         "Sym(3)", "Dih(4)", "Q(3)", "Sym(4)", "C(12)", "EA(2,2)",
         "Dih(6)", "ZM(5,2,4)", "M(3,3)",
+        "Sym(3) x C(2)", "Dih(4) x C(2)", "Sym(3) x C(3)",
     ])
     def test_matches_set_product_oracle(self, spec):
         G = build(spec)
@@ -140,17 +141,23 @@ class TestPGroupBound:
         ("M(5,3)", 5), ("C(2) x Dih(4)", 2),
     ])
     def test_bound_holds(self, spec, p):
-        bound, holds = pgroup_bound_check(build(spec), p)
+        G = build(spec)
+        lat = enumerate_subgroups(G)
+        bound, holds = pgroup_bound_check(G, lattice=lat)
         assert holds
         assert 0 < bound <= 1
+        # the prime comes from the group order
+        normal = lat.normal_count
+        multi = sum(1 for cls in lat.classes if len(cls) > 1)
+        assert bound == Fraction(normal, normal + p * multi)
 
     def test_rejects_non_p_group(self):
         with pytest.raises(ConstraintError):
-            pgroup_bound_check(build("Sym(3)"), 2)
+            pgroup_bound_check(build("Sym(3)"))
 
     def test_bound_value_on_dihedral8(self):
         # 6 normal subgroups, 2 multi-element classes: 6/(6+2*2)
-        bound, holds = pgroup_bound_check(build("Dih(4)"), 2)
+        bound, holds = pgroup_bound_check(build("Dih(4)"))
         assert bound == Fraction(6, 10) and holds
 
 
@@ -164,7 +171,7 @@ class TestCoprimeProduct:
             ndeg_brute(build(left), spec_text=left),
             ndeg_brute(build(right), spec_text=right),
         ])
-        direct = ndeg_brute(build(f"{left} x {right}"), cap=1024)
+        direct = ndeg_brute(build(f"{left} x {right}"))
         assert combined.ndeg == direct.ndeg
         assert combined.lattice_size == direct.lattice_size
         assert combined.normal_count == direct.normal_count

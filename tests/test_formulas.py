@@ -79,7 +79,7 @@ class TestSemidirect:
         (3, 7, 2), (2, 15, 4), (3, 28, 9), (5, 11, 3), (2, 9, 8),
     ])
     def test_matches_brute_force(self, p, n, k0):
-        report = ndeg_brute(build(f"SDP({p},{n},{k0})"), cap=1024)
+        report = ndeg_brute(build(f"SDP({p},{n},{k0})"))
         assert (report.lattice_size, report.normal_count) == sdp_counts(p, n, k0)
 
     def test_bounds_order21(self):
@@ -185,7 +185,7 @@ class TestZM:
         (5, 4, 2), (7, 3, 2), (5, 2, 4), (13, 4, 5), (13, 3, 3),
     ])
     def test_matches_brute_force(self, m, n, r):
-        report = ndeg_brute(build(f"ZM({m},{n},{r})"), cap=1024)
+        report = ndeg_brute(build(f"ZM({m},{n},{r})"))
         assert (report.lattice_size, report.normal_count) == zm_counts(m, n, r)
 
     @pytest.mark.parametrize("m, n, r", [

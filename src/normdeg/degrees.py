@@ -116,8 +116,10 @@ def sd_brute(
             mask_j, size_j = subs[j]
             union = mask_i | mask_j
             t = size_i * size_j // (mask_i & mask_j).bit_count()
-            if any(m & union == union for m in by_size.get(t, ())):
-                ordered += 1 if i == j else 2
+            for m in by_size.get(t, ()):
+                if m & union == union:
+                    ordered += 1 if i == j else 2
+                    break
     return Fraction(ordered, k * k)
 
 

@@ -73,17 +73,23 @@ def render(spec: GroupSpec) -> str:
 # ---------------------------------------------------------------------------
 # parameter constraints: each check returns the first violated
 # (constraint, detail) pair, or None, so filters over many candidate tuples
-# build no exception objects
+# build no exception objects. The SDP check also takes a prefix (p,) or
+# (p, n) and applies the rules it decides, so the SDP candidate walk skips
+# rows that no residue k0 can complete
 
 
 def _check_sdp(params: tuple[int, ...]) -> tuple[str, str] | None:
-    p, n, k0 = params
+    p, n, k0 = (*params, None, None)[:3]
     if not is_prime(p):
         return "SDP requires p prime", f"p={p}"
+    if n is None:
+        return None
     if n < 2:
         return "SDP requires n >= 2", f"n={n}"
     if n % p == 0:
         return "SDP requires p not dividing n", f"p={p}, n={n}"
+    if k0 is None:
+        return None
     if k0 < 0 or math.gcd(k0, n) != 1:
         return "SDP requires gcd(k0, n) == 1", f"k0={k0}, n={n}"
     if k0 % n == 1:
@@ -255,8 +261,9 @@ _FAMILIES: dict[str, _Family] = {
     "Sym": _Family(1, _check_sym, lambda p: math.factorial(p[0]),
                    lambda p: _table_sym(p[0]), _singles),
     "SDP": _Family(3, _check_sdp, lambda p: p[0] * p[1], lambda p: _table_sdp(*p),
-                   lambda cap: ((p, n, k0) for p in range(2, cap + 1)
-                                for n in range(1, cap // p + 1) for k0 in range(n))),
+                   lambda cap: ((p, n, k0) for p in range(2, cap + 1) if _check_sdp((p,)) is None
+                                for n in range(1, cap // p + 1) if _check_sdp((p, n)) is None
+                                for k0 in range(n))),
     "ZM": _Family(3, _check_zm, lambda p: p[0] * p[1], lambda p: metacyclic_table(*p),
                   lambda cap: ((m, n, r) for m in range(1, cap + 1)
                                for n in range(1, cap // m + 1) for r in range(m))),

@@ -1,19 +1,20 @@
 """Subgroup lattice enumeration and normality structure.
 
 Subgroups are bitsets over element ids (Python ints), so set algebra is
-single int operations. Enumeration seeds with every cyclic subgroup and
-closes the collection under pairwise join until a fixed point; a join is
-computed by a generator worklist with Lagrange-based size pruning.
+single int operations. Enumeration is cyclic extension (Neubueser 1960)
+over conjugacy-class representatives: each subgroup is found as <H, g>
+for a representative H of one of its maximal subgroups, and its whole
+conjugacy class is registered at once, so the classes come out of the
+search itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
 from .groups import GroupTable, closure
-from .numtheory import divisors
+from .numtheory import factorize
 
 DEFAULT_CAP = 512
 
@@ -101,132 +102,89 @@ class SubgroupLattice:
         return sum(self.normal_flags)
 
 
+def _power_map(rows: list[list[int]], e: int) -> list[int]:
+    """The map g -> g^e on every element, by square-and-multiply."""
+    result = [0] * len(rows)
+    base = list(range(len(rows)))
+    while e:
+        if e & 1:
+            result = [rows[a][b] for a, b in zip(result, base)]
+        base = [rows[b][b] for b in base]
+        e >>= 1
+    return result
+
+
 def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattice:
-    """All subgroups of G; raises CapExceededError when G.order > cap."""
+    """All subgroups of G; raises CapExceededError when G.order > cap.
+
+    Cyclic extension over class representatives, from the trivial subgroup
+    up: for a representative H and an element g outside H that normalizes
+    H with g^p in H for a prime p, K = H<g> has H as a normal subgroup of
+    index p, and K's whole conjugacy class is registered at once. The
+    elements of K, and of each coset Hg that gives no extension, are not
+    tried again for H. This reaches exactly the subgroups with a chain of
+    normal prime-index steps up from 1, so it reaches G exactly when G is
+    solvable. Otherwise a second pass also takes <H, g> for g outside
+    N(H), skipping its double coset HgH; that pass is complete, because
+    every subgroup K > 1 is <M, g> for any maximal M < K and any g in K
+    outside M.
+    """
     n = G.order
     if n > cap:
         raise CapExceededError(n, cap)
     rows = G.rows
-    full_mask = (1 << n) - 1
-    divs = divisors(n)
-
-    masks: list[int] = []
-    sizes: list[int] = []
-    genlists: list[tuple[int, ...]] = []
-    index: dict[int, int] = {}
-    by_size: dict[int, list[int]] = {}
-
-    def register(mask: int, size: int, gens: tuple[int, ...]) -> int:
-        idx = index.get(mask)
-        if idx is None:
-            idx = len(masks)
-            index[mask] = idx
-            masks.append(mask)
-            sizes.append(size)
-            genlists.append(gens)
-            by_size.setdefault(size, []).append(idx)
-        return idx
-
-    # seed: all distinct cyclic subgroups, remembering <g> for every element
-    cyc_mask = [0] * n
-    cyc_size = [0] * n
-    for g in range(n):
-        mask = 1
-        x = g
-        while not mask >> x & 1:
-            mask |= 1 << x
-            x = rows[x][g]
-        cyc_mask[g] = mask
-        cyc_size[g] = mask.bit_count()
-        register(mask, cyc_size[g], (g,) if g else ())
-
-    gcd = math.gcd
-
-    def join(i: int, j: int) -> None:
-        a = masks[i]
-        b = masks[j]
-        union = a | b
-        if union == a or union == b:
-            return
-        if union in index:  # the union happens to be closed already
-            return
-        sa = sizes[i]
-        sb = sizes[j]
-        gi = genlists[i]
-        gj = genlists[j]
-        mx = sa if sa >= sb else sb
-        # the join size divides n, is a multiple of lcm(|A|, |B|, ord(ab))
-        # for any a in A, b in B, and is bounded below by the product-set
-        # size |A||B|/|A meet B|, by 2*mx when neither operand contains the
-        # other, and by 2*ord(ab) when a or b falls outside <ab>.
-        lcm_ab = sa * sb // gcd(sa, sb)
-        lb = sa * sb // (a & b).bit_count()
-        if lcm_ab <= mx:
-            if 2 * mx > lb:
-                lb = 2 * mx
-        elif lcm_ab > lb:
-            lb = lcm_ab
-        ae = gi[-1] if gi else 0
-        be = gj[-1] if gj else 0
-        c = rows[ae][be]
-        oc = cyc_size[c]
-        if oc > 1:
-            cm = cyc_mask[c]
-            if not (cm >> ae & 1 and cm >> be & 1):
-                if 2 * oc > lb:
-                    lb = 2 * oc
-            elif oc > lb:
-                lb = oc
-            lcm_ab = lcm_ab * oc // gcd(lcm_ab, oc)
-        cands = [d for d in divs if d >= lb and d % lcm_ab == 0]
-        if len(cands) == 1:  # only the full group qualifies
-            register(full_mask, n, gi + gj)
-            return
-        d0 = cands[0]
-        bucket = by_size.get(d0)
-        if bucket is not None:
-            for t in bucket:
-                if masks[t] & union == union:
-                    return  # a known subgroup of minimal candidate size wins
-        gthresh = cands[-2]  # above this the join can only be everything
-        gen_list: list[int] = []
-        for g in gi + gj:
-            if g not in gen_list:
-                gen_list.append(g)
-        closed = closure(rows, gen_list, gthresh)
-        if closed is None:
-            register(full_mask, n, tuple(gen_list))
-        else:
-            register(*closed, tuple(gen_list))
-
-    # pairwise join closure: each unordered pair is visited exactly once,
-    # in the round where its larger index first exists
-    prev_end = 0
-    while prev_end < len(masks):
-        cur_end = len(masks)
-        for j in range(prev_end, cur_end):
-            for i in range(j):
-                join(i, j)
-        prev_end = cur_end
-
-    # canonical order
-    member_lists = [_mask_elements(m) for m in masks]
-    order = sorted(range(len(masks)), key=lambda t: (sizes[t], member_lists[t]))
-    subgroups = [SubgroupSet(masks[t], sizes[t]) for t in order]
-    position = {masks[t]: new for new, t in enumerate(order)}
-
-    # conjugacy orbits via generator conjugation; a class's smallest index is
-    # the first one no earlier class took, so classes come out in order
+    inv = G.inv.tolist()
     perms = _conjugation_perms(G)
-    seen = [False] * len(subgroups)
-    classes: list[tuple[int, ...]] = []
-    for start in range(len(subgroups)):
-        if not seen[start]:
-            orbit = sorted(position[m] for m in _conjugates(subgroups[start].mask, perms))
-            for t in orbit:
-                seen[t] = True
-            classes.append(tuple(orbit))
+    power_maps = [(p, _power_map(rows, p)) for p, _ in factorize(n)]
+    full = (1 << n) - 1
+    found: set[int] = set()
+    orbits: list[set[int]] = []
+    reps: list[tuple[int, tuple[int, ...]]] = []
 
+    def register(mask: int, gens: tuple[int, ...]) -> None:
+        if mask not in found:
+            orbit = _conjugates(mask, perms)
+            found.update(orbit)
+            orbits.append(orbit)
+            reps.append((mask, gens))
+
+    def coset(elems: list[int], g: int) -> int:
+        out = 0
+        for h in elems:
+            out |= 1 << rows[h][g]
+        return out
+
+    register(1, ())
+    for general in (False, True):
+        if full in found:
+            break
+        for mask, gens in reps:  # the list grows while it is walked
+            elems = _mask_elements(mask)
+            rest = full ^ mask
+            while rest:
+                g = (rest & -rest).bit_length() - 1
+                gi = inv[g]
+                rowg = rows[g]
+                skip = coset(elems, g)  # every hg gives what g gives
+                if all(mask >> rows[rowg[h]][gi] & 1 for h in gens):
+                    for p, power in power_maps:
+                        if mask >> power[g] & 1:
+                            x = g
+                            for _ in range(p - 2):
+                                x = rows[x][g]
+                                skip |= coset(elems, x)
+                            register(skip | mask, gens + (g,))
+                            break
+                elif general:
+                    register(closure(rows, gens + (g,))[0], gens + (g,))
+                    for h in elems:
+                        skip |= coset(elems, rowg[h])
+                rest &= ~skip
+
+    masks = sorted(found, key=lambda m: (m.bit_count(), _mask_elements(m)))
+    position = {m: i for i, m in enumerate(masks)}
+    classes = sorted(tuple(sorted(position[m] for m in orbit)) for orbit in orbits)
+    subgroups = [SubgroupSet(m, m.bit_count()) for m in masks]
     return SubgroupLattice(G, subgroups, classes)
 
 

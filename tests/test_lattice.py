@@ -114,6 +114,26 @@ class TestEnumeration:
         for spec, count in expect.items():
             assert len(enumerate_subgroups(build(spec)).subgroups) == count
 
+    # subgroups (OEIS A005432) and conjugacy classes (A000638) of Sym(n);
+    # Sym(5) is not solvable, so A5 is only reached through non-normal steps
+    @pytest.mark.parametrize("n, subgroups, classes", [
+        (1, 1, 1), (2, 2, 2), (3, 6, 4), (4, 30, 11), (5, 156, 19),
+    ])
+    def test_symmetric_group_counts(self, n, subgroups, classes):
+        lat = enumerate_subgroups(build(f"Sym({n})"))
+        assert (len(lat), len(lat.classes)) == (subgroups, classes)
+
+    # subspaces of GF(2)^k (OEIS A006116)
+    @pytest.mark.parametrize("k, subgroups", [
+        (1, 2), (2, 5), (3, 16), (4, 67), (5, 374), (6, 2825),
+    ])
+    def test_elementary_abelian_2_group_counts(self, k, subgroups):
+        assert len(enumerate_subgroups(build(f"EA(2,{k})"))) == subgroups
+
+    def test_non_solvable_product_counts(self):
+        lat = enumerate_subgroups(build("Sym(5) x C(2)"))
+        assert (len(lat), len(lat.classes), lat.normal_count) == (535, 57, 7)
+
 
 class TestGeneratedSubgroup:
     def test_cyclic_part_of_dihedral(self):

@@ -62,6 +62,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
                               "use --method brute", text)
     sd = None
     if method != "formula" or args.sd:
+        if spec.order() > args.cap:  # before the table is materialised
+            raise CapExceededError(spec.order(), args.cap)
         table = build(spec)
         lattice = enumerate_subgroups(table, cap=args.cap)
         if method != "formula":

@@ -109,6 +109,17 @@ class TestCompute:
         assert code == EXIT_CAP
         assert err
 
+    @pytest.mark.parametrize("spec", ["C(4096) x C(1)", "Dih(2000)"])
+    def test_cap_is_checked_before_the_table_is_built(self, capsys, monkeypatch, spec):
+        def build(spec):
+            raise AssertionError("build called past the cap")
+
+        monkeypatch.setattr(normdeg.cli, "build", build)
+        code, _, err = run_cli(capsys, "compute", "--spec", spec,
+                               "--method", "brute")
+        assert code == EXIT_CAP
+        assert err.startswith("cap exceeded: group order ")
+
     def test_formula_route_needs_no_cap(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--spec", "C(600)",
                                "--cap", "100")

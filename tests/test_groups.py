@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from normdeg.errors import ConstraintError, SpecParseError
 from normdeg.groups import (
     MAX_BUILD_ORDER,
     Constructor,
+    GroupTable,
     Product,
+    _table_sym,
     build,
     check_params,
     closure,
     element_order,
     family_params,
+    metacyclic_table,
     parse_spec,
     render,
 )
@@ -255,8 +259,62 @@ class TestTables:
         assert G.mul[3 * 0 + 1, 3 * 1 + 1] == 3 * 1 + 2
 
     def test_validate_catches_broken_table(self):
-        from normdeg.groups import GroupTable
-
         mul = np.array([[0, 1], [1, 1]], dtype=np.int16)
         with pytest.raises(ValueError):
             GroupTable(mul)
+
+    @pytest.mark.parametrize("n", [130, 2048])
+    def test_validate_catches_a_swapped_intercalate(self, n):
+        # swapping the 2x2 Latin subsquare on rows 3, 3+h and columns 5, 5+h
+        # keeps the identity, the Latin property and the inverses
+        h = n // 2
+        mul = build(f"C({n})").mul.copy()
+        rows, cols = np.ix_([3, 3 + h], [5, 5 + h])
+        mul[rows, cols] = mul[rows, cols][::-1]
+        with pytest.raises(ValueError, match="associativity"):
+            GroupTable(mul)
+
+    def test_validate_catches_the_smallest_nonassociative_loop(self):
+        # a Latin square with identity 0 and x*x = 0, so with inverses;
+        # every group of order 5 is cyclic, so this one is not a group
+        mul = np.array([[0, 1, 2, 3, 4],
+                        [1, 0, 3, 4, 2],
+                        [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1],
+                        [4, 3, 1, 2, 0]])
+        with pytest.raises(ValueError, match="associativity"):
+            GroupTable(mul)
+
+
+def _metacyclic_reference(m, k, r):
+    # x^i y^a has id a*m + i. y^-1 x y = x^r gives y x y^-1 = x^s with
+    # s = r^-1 mod m, so x^i1 y^a1 x^i2 y^a2 = x^(i1 + i2 s^a1) y^(a1 + a2);
+    # each (a1, a2) block applies that rule to every (i1, i2)
+    s = pow(r, -1, m)
+    i = np.arange(m)
+    mul = np.empty((k * m, k * m), dtype=np.int64)
+    for a1, a2 in product(range(k), repeat=2):
+        mul[a1 * m:(a1 + 1) * m, a2 * m:(a2 + 1) * m] = (
+            (i[:, None] + i[None, :] * pow(s, a1, m)) % m + (a1 + a2) % k * m)
+    return mul
+
+
+class TestBuilders:
+    def test_metacyclic_matches_the_product_rule(self):
+        checked = 0
+        for m, k in product(range(1, 41), range(1, 13)):
+            for r in range(m):
+                if gcd(r, m) == 1 and pow(r, k, m) == 1 % m:
+                    assert np.array_equal(metacyclic_table(m, k, r),
+                                          _metacyclic_reference(m, k, r)), (m, k, r)
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_sym_matches_composition(self, n):
+        # a*b is i -> a[b[i]], over permutations in lexicographic order
+        perms = list(permutations(range(n)))
+        rank = {p: i for i, p in enumerate(perms)}
+        expected = [[rank[tuple(a[b[i]] for i in range(n))] for b in perms]
+                    for a in perms]
+        assert _table_sym(n).tolist() == expected

@@ -102,24 +102,38 @@ def sd_brute(
 
     HK has t = |H||K|/|H meet K| elements, and it is a subgroup exactly when
     some subgroup of order t contains H and K (that subgroup is then HK).
+    Two exact reductions leave only some non-normal pairs to test:
+
+    - when H is normal, kH = Hk for every k, so HK = KH (and likewise when
+      K is normal): of the k^2 ordered pairs (k = |L|, m of them
+      non-normal) the k^2 - m^2 with a normal factor count without a test;
+    - HK = KH exactly when H^g K^g = K^g H^g, and conjugation by g
+      permutes the non-normal subgroups, so every member of a conjugacy
+      class commutes with as many non-normal K as its representative does:
+      only the representative is tested, and its count weighted by the
+      class size.
     """
     lat = lattice if lattice is not None else enumerate_subgroups(G)
-    subs = [(s.mask, s.size) for s in lat.subgroups]
     by_size: dict[int, list[int]] = {}
-    for mask, size in subs:
-        by_size.setdefault(size, []).append(mask)
-    k = len(subs)
-    ordered = 0
-    for i in range(k):
-        mask_i, size_i = subs[i]
-        for j in range(i, k):
-            mask_j, size_j = subs[j]
-            union = mask_i | mask_j
-            t = size_i * size_j // (mask_i & mask_j).bit_count()
-            for m in by_size.get(t, ()):
-                if m & union == union:
-                    ordered += 1 if i == j else 2
-                    break
+    for s in lat.subgroups:
+        by_size.setdefault(s.size, []).append(s.mask)
+    non_normal = [(s.mask, s.size)
+                  for s, normal in zip(lat.subgroups, lat.normal_flags) if not normal]
+    k, m = len(lat), len(non_normal)
+    ordered = k * k - m * m
+    for cls in lat.classes:
+        if len(cls) > 1:
+            rep = lat.subgroups[cls[0]]
+            mask_h, size_h = rep.mask, rep.size
+            hits = 0
+            for mask_k, size_k in non_normal:
+                union = mask_h | mask_k
+                t = size_h * size_k // (mask_h & mask_k).bit_count()
+                for mask in by_size.get(t, ()):
+                    if mask & union == union:
+                        hits += 1
+                        break
+            ordered += len(cls) * hits
     return Fraction(ordered, k * k)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceededError
 from .groups import GroupTable, closure
 from .numtheory import factorize
@@ -198,22 +200,12 @@ def is_normal(G: GroupTable, H: SubgroupSet) -> bool:
 
 def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     """Largest subgroup in which H is normal, computed per definition."""
-    rows = G.rows
-    inv = G.inv.tolist()
-    hmask = H.mask
-    helems = H.elements()
-    out = 0
-    size = 0
-    for g in range(G.order):
-        gi = inv[g]
-        rowg = rows[g]
-        for h in helems:
-            if not hmask >> rows[rowg[h]][gi] & 1:
-                break
-        else:
-            out |= 1 << g
-            size += 1
-    return SubgroupSet(out, size)
+    in_h = np.zeros(G.order, dtype=bool)
+    in_h[H.elements()] = True
+    conj = G.mul[G.mul[:, in_h], G.inv[:, None]]  # row g: g h g^-1 for h in H
+    flags = in_h[conj].all(axis=1)
+    mask = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    return SubgroupSet(mask, int(flags.sum()))
 
 
 def core(G: GroupTable, H: SubgroupSet) -> SubgroupSet:

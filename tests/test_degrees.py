@@ -1,8 +1,8 @@
 """Tests for the exact degree computations.
 
 The subgroup commutativity oracle here multiplies element sets directly
-(HK as a literal set product) so it shares nothing with the join-based
-criterion used by the implementation.
+(HK as a literal set product) so it shares nothing with the size-bucket
+container test used by the implementation.
 """
 
 from __future__ import annotations
@@ -105,10 +105,35 @@ class TestCommutativityDegree:
         "Sym(3)", "Dih(4)", "Q(3)", "Sym(4)", "C(12)", "EA(2,2)",
         "Dih(6)", "ZM(5,2,4)", "M(3,3)",
         "Sym(3) x C(2)", "Dih(4) x C(2)", "Sym(3) x C(3)",
+        # non-normal classes of size >= 3, normal and non-normal containers
+        "Dih(8)", "SD(4)", "Q(4) x C(2)", "Sym(3) x Sym(3)", "Dih(5) x C(3)",
+        "Sym(4) x C(2)",
     ])
     def test_matches_set_product_oracle(self, spec):
         G = build(spec)
         assert sd_brute(G) == sd_by_set_products(G)
+
+    @pytest.mark.parametrize("left, right", [
+        ("Sym(3)", "ZM(11,5,3)"), ("SDP(3,7,2)", "Dih(4)"),
+    ])
+    def test_multiplicative_on_coprime_products(self, left, right):
+        # subgroups of A x B with coprime orders are exactly the H x K, and
+        # H x K commutes with H' x K' exactly when both factor pairs commute
+        assert sd_brute(build(f"{left} x {right}")) == (
+            sd_brute(build(left)) * sd_brute(build(right)))
+
+    @pytest.mark.parametrize("spec, value", [
+        ("Sym(5)", Fraction(67, 312)),
+        ("Dih(128)", Fraction(10297, 69169)),
+        ("SD(9)", Fraction(2153, 19208)),
+        ("Dih(8) x C(2) x C(2)", Fraction(77745, 108241)),
+        ("EA(2,5)", Fraction(1)),
+        ("Dih(4) x Dih(4)", Fraction(122681, 151321)),
+        ("EA(3,4)", Fraction(1)),
+        ("Sym(4) x C(2)", Fraction(2561, 4802)),
+    ])
+    def test_frozen_values_on_larger_lattices(self, spec, value):
+        assert sd_brute(build(spec)) == value
 
     def test_sym3_by_hand(self):
         # 36 ordered pairs; the (reflection, different reflection) pairs

@@ -8,6 +8,7 @@ violation, 3 enumeration cap exceeded, 4 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from time import perf_counter
 
@@ -36,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -193,6 +197,7 @@ def cmd_ledger(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+@functools.cache  # built once, at the first main() call: importing cli stays cheap
 def build_parser() -> _Parser:
     parser = _Parser(prog="normdeg",
                      description="Exact normality degrees of finite groups.")
@@ -206,14 +211,14 @@ def build_parser() -> _Parser:
     p.add_argument("--sd", action="store_true",
                    help="also compute the subgroup commutativity degree")
     p.add_argument("--ledger", help="append the result to this JSONL file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CAP,
                    help="enumeration cap on the group order")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="closed forms against brute force")
     p.add_argument("--family", required=True, choices=explorer.VERIFY_FAMILIES)
     p.add_argument("--range", help="override ranges, e.g. 'p=2..3,n=3..20'")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("density", help="group sequence approaching a target")

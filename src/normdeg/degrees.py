@@ -102,7 +102,10 @@ def sd_brute(
 
     HK has t = |H||K|/|H meet K| elements, and it is a subgroup exactly when
     some subgroup of order t contains H and K (that subgroup is then HK).
-    Two exact reductions leave only some non-normal pairs to test:
+    Such a subgroup contains H, so the subgroups containing H are collected
+    once per tested H, grouped by order, and each K is looked up among
+    those of order t. Two exact reductions leave only some non-normal pairs
+    to test:
 
     - when H is normal, kH = Hk for every k, so HK = KH (and likewise when
       K is normal): of the k^2 ordered pairs (k = |L|, m of them
@@ -114,9 +117,6 @@ def sd_brute(
       class size.
     """
     lat = lattice if lattice is not None else enumerate_subgroups(G)
-    by_size: dict[int, list[int]] = {}
-    for s in lat.subgroups:
-        by_size.setdefault(s.size, []).append(s.mask)
     non_normal = [(s.mask, s.size)
                   for s, normal in zip(lat.subgroups, lat.normal_flags) if not normal]
     k, m = len(lat), len(non_normal)
@@ -125,12 +125,15 @@ def sd_brute(
         if len(cls) > 1:
             rep = lat.subgroups[cls[0]]
             mask_h, size_h = rep.mask, rep.size
+            over_h: dict[int, list[int]] = {}
+            for s in lat.subgroups:
+                if s.mask & mask_h == mask_h:
+                    over_h.setdefault(s.size, []).append(s.mask)
             hits = 0
             for mask_k, size_k in non_normal:
-                union = mask_h | mask_k
                 t = size_h * size_k // (mask_h & mask_k).bit_count()
-                for mask in by_size.get(t, ()):
-                    if mask & union == union:
+                for mask in over_h.get(t, ()):
+                    if mask & mask_k == mask_k:
                         hits += 1
                         break
             ordered += len(cls) * hits

@@ -256,8 +256,10 @@ _FAMILIES: dict[str, _Family] = {
                    lambda cap: ((p, n, k0) for p in range(2, cap + 1) if _check_sdp((p,)) is None
                                 for n in range(1, cap // p + 1) if _check_sdp((p, n)) is None
                                 for k0 in range(n))),
+    # no even m has a valid r: gcd(m, r-1) = 1 makes r even, and then r**n
+    # is even, so r**n == 1 (mod m) fails
     "ZM": _Family(3, _check_zm, lambda p: p[0] * p[1], lambda p: metacyclic_table(*p),
-                  lambda cap: ((m, n, r) for m in range(1, cap + 1)
+                  lambda cap: ((m, n, r) for m in range(1, cap + 1, 2)
                                for n in range(1, cap // m + 1) for r in range(m))),
     "EA": _Family(2, _check_ea, lambda p: p[0] ** p[1], lambda p: _table_ea(*p),
                   _prime_powers),

@@ -126,6 +126,25 @@ class TestCompute:
         assert code == EXIT_OK
         assert tsv_rows(out)[0]["lattice_size"] == "24"
 
+    @pytest.mark.parametrize("cap, message", [
+        ("-1", "argument --cap: must be >= 0, got -1"),
+        ("abc", "argument --cap: invalid int value: 'abc'"),
+    ])
+    def test_bad_cap_is_a_usage_error(self, capsys, cap, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--spec", "C(4)", "--cap", cap])
+        assert exc.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_repeated_calls_share_no_arguments(self, capsys):
+        # the parser is built once per process; each call parses afresh
+        _, out, _ = run_cli(capsys, "compute", "--spec", "Dih(3)", "--sd",
+                            "--method", "brute")
+        assert tsv_rows(out)[0]["sd"] == "5/6"
+        _, out, _ = run_cli(capsys, "compute", "--spec", "Dih(3)")
+        assert tsv_rows(out)[0]["sd"] == "-"
+        assert tsv_rows(out)[0]["method"] == "formula"
+
     def test_bad_spec_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--spec", "Dih(")
         assert code == EXIT_USAGE
@@ -169,6 +188,12 @@ class TestVerify:
         assert code == EXIT_CAP
         assert tsv_rows(out) == []
         assert "0 comparisons, 0 mismatches, 58 tuples beyond cap" in err
+
+    def test_negative_cap_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "sdp", "--cap", "-5"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--cap" in capsys.readouterr().err
 
     def test_empty_range_compares_nothing(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--family", "dihedral",

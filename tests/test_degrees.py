@@ -1,8 +1,8 @@
 """Tests for the exact degree computations.
 
 The subgroup commutativity oracle here multiplies element sets directly
-(HK as a literal set product) so it shares nothing with the size-bucket
-container test used by the implementation.
+(HK as a literal set product) so it shares nothing with the implementation's
+lookup among the subgroups that contain H.
 """
 
 from __future__ import annotations

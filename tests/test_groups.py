@@ -16,6 +16,7 @@ from normdeg.groups import (
     Constructor,
     GroupTable,
     Product,
+    _check_zm,
     _table_sym,
     build,
     check_params,
@@ -130,6 +131,11 @@ class TestConstraints:
             if term.order() <= cap and (canonical is None or canonical(*params)):
                 expected.append(params)
         assert family_params(name, cap) == expected
+
+    def test_zm_rejects_every_even_modulus(self):
+        # family_params("ZM", cap) walks odd m only
+        assert all(_check_zm((m, n, r)) is not None
+                   for m in range(2, 61, 2) for n in range(1, 61) for r in range(61))
 
     def test_build_order_ceiling(self):
         with pytest.raises(ConstraintError):

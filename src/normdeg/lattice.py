@@ -1,11 +1,11 @@
 """Subgroup lattice enumeration and normality structure.
 
-Subgroups are bitsets over element ids (Python ints), so set algebra is
-single int operations. Enumeration is cyclic extension (Neubueser 1960)
-over conjugacy-class representatives: each subgroup is found as <H, g>
-for a representative H of one of its maximal subgroups, and its whole
-conjugacy class is registered at once, so the classes come out of the
-search itself.
+Subgroups are bitsets over element ids (Python ints); masks are built in C
+as `sum(map(bit, elems))`. Enumeration is cyclic extension (Neubueser 1960)
+over conjugacy-class representatives H, each kept with its element list:
+<H, g> is tried once per left coset gH inside N(H) (and, for non-solvable
+groups, once per double coset HgH outside it), and its whole class is
+registered at once by conjugation under the non-central generators of G.
 """
 
 from __future__ import annotations
@@ -36,46 +36,38 @@ class SubgroupSet:
 
 
 def _mask_elements(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
+    return [i for i, b in enumerate(format(mask, "b")[::-1]) if b == "1"]
 
 
-def _apply_perm(mask: int, perm: list[int]) -> int:
-    out = 0
-    while mask:
-        b = mask & -mask
-        out |= 1 << perm[b.bit_length() - 1]
-        mask ^= b
-    return out
+def _bit(n: int):
+    """Element id -> its one-bit mask, as a lookup that runs in C under map()."""
+    return [1 << i for i in range(n)].__getitem__
+
+
+def _mask_of(flags: np.ndarray) -> int:
+    """Bitset of a boolean array over element ids."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def _conjugation_perms(G: GroupTable) -> list[list[int]]:
-    """Permutations h -> g h g^-1 for each generator g of G."""
-    rows = G.rows
-    inv = G.inv.tolist()
-    perms = []
-    for g in G.generators():
-        gi = inv[g]
-        rowg = rows[g]
-        perms.append([rows[rowg[h]][gi] for h in range(G.order)])
-    return perms
+    """Permutations h -> g h g^-1 for each non-central generator g of G."""
+    identity = np.arange(G.order)
+    perms = (G.mul[G.mul[g], G.inv[g]] for g in G.generators())
+    return [perm.tolist() for perm in perms if not np.array_equal(perm, identity)]
 
 
-def _conjugates(mask: int, perms: list[list[int]]) -> set[int]:
-    """Every conjugate of a subgroup, closing its mask under the conjugation perms."""
-    seen = {mask}
-    frontier = [mask]
+def _conjugates(elems: list[int], perms: list[list[int]], bit) -> set[int]:
+    """Masks of every conjugate of the subgroup with these elements."""
+    seen = {sum(map(bit, elems))}
+    frontier = [elems]
     while frontier:
-        m = frontier.pop()
+        es = frontier.pop()
         for perm in perms:
-            cm = _apply_perm(m, perm)
+            ces = list(map(perm.__getitem__, es))
+            cm = sum(map(bit, ces))
             if cm not in seen:
                 seen.add(cm)
-                frontier.append(cm)
+                frontier.append(ces)
     return seen
 
 
@@ -104,86 +96,102 @@ class SubgroupLattice:
         return sum(self.normal_flags)
 
 
-def _power_map(rows: list[list[int]], e: int) -> list[int]:
+def _power_map(mul: np.ndarray, e: int) -> list[int]:
     """The map g -> g^e on every element, by square-and-multiply."""
-    result = [0] * len(rows)
-    base = list(range(len(rows)))
+    result = np.zeros(len(mul), dtype=mul.dtype)
+    base = np.arange(len(mul))
     while e:
         if e & 1:
-            result = [rows[a][b] for a, b in zip(result, base)]
-        base = [rows[b][b] for b in base]
+            result = mul[result, base]
+        base = mul[base, base]
         e >>= 1
-    return result
+    return result.tolist()
+
+
+def _canonical_key(n: int):
+    """Sort key on masks of width n: by size, then as by sorted member lists."""
+    # for one size the lowest element of the symmetric difference decides: the
+    # mask holding it reads "0" there first in its complement, from bit 0 up
+    full, fmt = (1 << n) - 1, f"0{n}b"
+    return lambda m: (m.bit_count(), format(full ^ m, fmt)[::-1])
 
 
 def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattice:
     """All subgroups of G; raises CapExceededError when G.order > cap.
 
     Cyclic extension over class representatives, from the trivial subgroup
-    up: for a representative H and an element g outside H that normalizes
-    H with g^p in H for a prime p, K = H<g> has H as a normal subgroup of
-    index p, and K's whole conjugacy class is registered at once. The
-    elements of K, and of each coset Hg that gives no extension, are not
-    tried again for H. This reaches exactly the subgroups with a chain of
-    normal prime-index steps up from 1, so it reaches G exactly when G is
-    solvable. Otherwise a second pass also takes <H, g> for g outside
-    N(H), skipping its double coset HgH; that pass is complete, because
-    every subgroup K > 1 is <M, g> for any maximal M < K and any g in K
-    outside M.
+    up: for a representative H and g in N(H) outside H with g^p in H for a
+    prime p, K = H<g> has H as a normal subgroup of index p, and K's whole
+    conjugacy class is registered at once. The walk covers N(H) outside H
+    one left coset gH = Hg at a time, as each element of gH gives what g
+    gives; N(H) is G for a one-member class, else the g that conjugate each
+    generator of H into H. This reaches exactly the subgroups with a chain
+    of normal prime-index steps up from 1, so it reaches G exactly when G is
+    solvable. Otherwise a second pass takes <H, g> for g outside N(H),
+    skipping the double coset HgH, for every representative (walking N(H)
+    first for those it finds); it is complete, as every subgroup K > 1 is
+    <M, g> for any maximal M < K and any g in K outside M.
     """
     n = G.order
     if n > cap:
         raise CapExceededError(n, cap)
     rows = G.rows
-    inv = G.inv.tolist()
     perms = _conjugation_perms(G)
-    power_maps = [(p, _power_map(rows, p)) for p, _ in factorize(n)]
+    power_maps = [(p, _power_map(G.mul, p)) for p, _ in factorize(n)]
+    bit = _bit(n)
     full = (1 << n) - 1
     found: set[int] = set()
     orbits: list[set[int]] = []
-    reps: list[tuple[int, tuple[int, ...]]] = []
+    reps: list[tuple[int, list[int], tuple[int, ...], int]] = []
 
-    def register(mask: int, gens: tuple[int, ...]) -> None:
-        if mask not in found:
-            orbit = _conjugates(mask, perms)
-            found.update(orbit)
-            orbits.append(orbit)
-            reps.append((mask, gens))
+    def register(mask: int, elems: list[int], gens: tuple[int, ...]) -> None:
+        orbit = _conjugates(elems, perms, bit)
+        found.update(orbit)
+        orbits.append(orbit)
+        norm = full
+        if len(orbit) > 1:
+            in_h = np.zeros(n, dtype=bool)
+            in_h[elems] = True
+            norm = _mask_of(in_h[G.mul[G.mul[:, list(gens)], G.inv[:, None]]].all(axis=1))
+        reps.append((mask, elems, gens, norm))
 
-    def coset(elems: list[int], g: int) -> int:
-        out = 0
-        for h in elems:
-            out |= 1 << rows[h][g]
-        return out
-
-    register(1, ())
+    register(1, [0], ())
+    walked = 0
     for general in (False, True):
         if full in found:
             break
-        for mask, gens in reps:  # the list grows while it is walked
-            elems = _mask_elements(mask)
-            rest = full ^ mask
+        for i, (mask, elems, gens, norm) in enumerate(reps):  # the list grows while it is walked
+            rest = norm ^ mask if i >= walked else 0  # N(H) outside H, in one pass only
             while rest:
                 g = (rest & -rest).bit_length() - 1
-                gi = inv[g]
-                rowg = rows[g]
-                skip = coset(elems, g)  # every hg gives what g gives
-                if all(mask >> rows[rowg[h]][gi] & 1 for h in gens):
-                    for p, power in power_maps:
-                        if mask >> power[g] & 1:
-                            x = g
-                            for _ in range(p - 2):
-                                x = rows[x][g]
-                                skip |= coset(elems, x)
-                            register(skip | mask, gens + (g,))
-                            break
-                elif general:
-                    register(closure(rows, gens + (g,))[0], gens + (g,))
-                    for h in elems:
-                        skip |= coset(elems, rowg[h])
+                coset = list(map(rows[g].__getitem__, elems))
+                skip = sum(map(bit, coset))
+                for p, power in power_maps:
+                    if mask >> power[g] & 1:
+                        ext = elems + coset
+                        x = g
+                        for _ in range(p - 2):
+                            x = rows[x][g]
+                            coset = list(map(rows[x].__getitem__, elems))
+                            ext += coset
+                            skip |= sum(map(bit, coset))
+                        if skip | mask not in found:
+                            register(skip | mask, ext, gens + (g,))
+                        break
                 rest &= ~skip
+            rest = full ^ norm if general else 0  # G outside N(H)
+            while rest:
+                g = (rest & -rest).bit_length() - 1
+                k = closure(rows, gens + (g,))[0]
+                if k not in found:
+                    register(k, _mask_elements(k), gens + (g,))
+                for h in elems:  # HgH, one left coset hgH at a time
+                    x = rows[h][g]
+                    if rest >> x & 1:
+                        rest &= ~sum(map(bit, map(rows[x].__getitem__, elems)))
+        walked = len(reps)
 
-    masks = sorted(found, key=lambda m: (m.bit_count(), _mask_elements(m)))
+    masks = sorted(found, key=_canonical_key(n))
     position = {m: i for i, m in enumerate(masks)}
     classes = sorted(tuple(sorted(position[m] for m in orbit)) for orbit in orbits)
     subgroups = [SubgroupSet(m, m.bit_count()) for m in masks]
@@ -191,11 +199,8 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
 
 
 def is_normal(G: GroupTable, H: SubgroupSet) -> bool:
-    """True when every generator of G conjugates H onto itself."""
-    for perm in _conjugation_perms(G):
-        if _apply_perm(H.mask, perm) != H.mask:
-            return False
-    return True
+    """True when the conjugacy class of H has H as its only member."""
+    return len(_conjugates(H.elements(), _conjugation_perms(G), _bit(G.order))) == 1
 
 
 def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
@@ -204,14 +209,13 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     in_h[H.elements()] = True
     conj = G.mul[G.mul[:, in_h], G.inv[:, None]]  # row g: g h g^-1 for h in H
     flags = in_h[conj].all(axis=1)
-    mask = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-    return SubgroupSet(mask, int(flags.sum()))
+    return SubgroupSet(_mask_of(flags), int(flags.sum()))
 
 
 def core(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     """Intersection of all conjugates of H: the largest normal subgroup inside H."""
     acc = H.mask
-    for m in _conjugates(H.mask, _conjugation_perms(G)):
+    for m in _conjugates(H.elements(), _conjugation_perms(G), _bit(G.order)):
         acc &= m
     return SubgroupSet(acc, acc.bit_count())
 
@@ -223,11 +227,7 @@ def fix_points(G: GroupTable, lattice: SubgroupLattice) -> tuple[set[int], set[i
     through different routes so the equality stays a real check.
     """
     fix_conj = {cls[0] for cls in lattice.classes if len(cls) == 1}
-    fix_core = {
-        i
-        for i, s in enumerate(lattice.subgroups)
-        if core(G, s).mask == s.mask
-    }
+    fix_core = {i for i, s in enumerate(lattice.subgroups) if core(G, s).mask == s.mask}
     return fix_conj, fix_core
 
 

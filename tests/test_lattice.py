@@ -1,22 +1,32 @@
 """Tests for subgroup lattice enumeration and normality structure.
 
-The core oracle is an exhaustive subset scan: for groups of order <= 16
-every subset is tested directly for closure, so the enumerator's output
-can be compared against the complete, independently computed lattice.
+Two oracles stand beside the enumerator. An exhaustive subset scan tests
+every subset of a group of order <= 16 for closure. A closure oracle grows
+subgroups one element at a time up to a fixed point and forms classes by
+conjugating with every element of G; it pins masks, canonical order,
+classes and normal flags on the order-32 catalog and on the non-solvable
+Sym(5).
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normdeg.errors import CapExceededError, ConstraintError
+from normdeg.explorer import catalog_specs
 from normdeg.groups import build, closure
 from normdeg.lattice import (
     DEFAULT_CAP,
     SubgroupSet,
+    _canonical_key,
+    _conjugation_perms,
     core,
     enumerate_subgroups,
     fix_points,
@@ -59,6 +69,29 @@ def subsets_that_are_subgroups(G) -> set[int]:
     return found
 
 
+def conjugate_masks(G, mask: int) -> list[int]:
+    """The mask g H g^-1 for every element g of G, in element order."""
+    rows, inv = G.rows, G.inv.tolist()
+    elems = [e for e in range(G.order) if mask >> e & 1]
+    return [sum(1 << rows[rows[g][h]][inv[g]] for h in elems) for g in range(G.order)]
+
+
+def lattice_by_closure(G) -> tuple[list[int], set[frozenset[int]]]:
+    """(masks sorted by size then members, classes as mask sets), without
+    cyclic extension: every <H, g> by `closure`, from {1} to a fixed point."""
+    gens = {1: ()}
+    frontier = [1]
+    while frontier:
+        m = frontier.pop()
+        for g in range(G.order):
+            k = closure(G.rows, gens[m] + (g,))[0]
+            if k not in gens:
+                gens[k] = gens[m] + (g,)
+                frontier.append(k)
+    masks = sorted(gens, key=lambda m: (m.bit_count(), [e for e in range(G.order) if m >> e & 1]))
+    return masks, {frozenset(conjugate_masks(G, m)) for m in masks}
+
+
 SMALL_SPECS = ["C(16)", "C(12)", "Sym(3)", "Dih(4)", "Dih(6)", "Q(3)",
                "M(2,4)", "EA(2,3)", "C(2) x C(8)", "Sym(3) x C(2)",
                "ZM(5,2,4)", "C(3) x C(3)"]
@@ -71,6 +104,17 @@ class TestEnumeration:
         assert G.order <= 16
         lat = enumerate_subgroups(G)
         assert {s.mask for s in lat.subgroups} == subsets_that_are_subgroups(G)
+
+    # every catalog group up to order 32, and Sym(5), whose lattice needs
+    # the second pass over G outside N(H)
+    @pytest.mark.parametrize("spec", [spec for spec, _ in catalog_specs(32)] + ["Sym(5)"])
+    def test_matches_closure_oracle(self, spec):
+        G = build(spec)
+        lat = enumerate_subgroups(G)
+        masks, classes = lattice_by_closure(G)
+        assert [s.mask for s in lat.subgroups] == masks
+        assert {frozenset(masks[i] for i in cls) for cls in lat.classes} == classes
+        assert lat.normal_flags == [frozenset([m]) in classes for m in masks]
 
     def test_canonical_order_and_determinism(self):
         G = build("Dih(6)")
@@ -133,6 +177,48 @@ class TestEnumeration:
     def test_non_solvable_product_counts(self):
         lat = enumerate_subgroups(build("Sym(5) x C(2)"))
         assert (len(lat), len(lat.classes), lat.normal_count) == (535, 57, 7)
+
+
+@st.composite
+def masks_of_one_width(draw) -> tuple[int, list[int]]:
+    """A width n <= 64 and masks of that width, many of them of one size."""
+    n = draw(st.integers(1, 64))
+    k = draw(st.integers(0, n))
+    same_size = st.permutations(range(n)).map(lambda p: sum(1 << i for i in p[:k]))
+    return n, draw(st.lists(st.one_of(same_size, st.integers(0, (1 << n) - 1)), max_size=20))
+
+
+class TestCanonicalKey:
+    @settings(max_examples=150, deadline=None)
+    @given(masks_of_one_width())
+    def test_orders_as_size_then_sorted_members(self, case):
+        n, masks = case
+        by_members = sorted(masks, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
+        assert sorted(masks, key=_canonical_key(n)) == by_members
+
+
+class TestConjugationPerms:
+    @pytest.mark.parametrize("spec", ["EA(2,5)", "C(4) x EA(2,4)"])
+    def test_abelian_groups_keep_no_perm(self, spec):
+        assert _conjugation_perms(build(spec)) == []
+
+    def test_central_generators_are_dropped(self):
+        G = build("Dih(4) x C(2)")
+        rows, inv, n = G.rows, G.inv.tolist(), G.order
+        central = [g for g in G.generators() if all(rows[g][x] == rows[x][g] for x in range(n))]
+        kept = [g for g in G.generators() if g not in central]
+        assert central and kept
+        assert _conjugation_perms(G) == [[rows[rows[g][h]][inv[g]] for h in range(n)] for g in kept]
+
+    # is_normal and core read the orbit under the kept perms; check both
+    # against conjugation by every element of G
+    @pytest.mark.parametrize("spec", ["Dih(4) x C(2)", "EA(2,4)", "Sym(4)", "Q(3) x C(3)"])
+    def test_is_normal_and_core_by_definition(self, spec):
+        G = build(spec)
+        for s in enumerate_subgroups(G).subgroups:
+            conjugates = conjugate_masks(G, s.mask)
+            assert is_normal(G, s) == (set(conjugates) == {s.mask})
+            assert core(G, s).mask == reduce(and_, conjugates)
 
 
 class TestGeneratedSubgroup:

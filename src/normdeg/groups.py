@@ -372,14 +372,13 @@ class GroupTable:
         n = mul.shape[0]
         if mul.shape != (n, n):
             raise ValueError("multiplication table must be square")
+        # before the narrowing cast, which would wrap large entries into range
+        if mul.min() < 0 or mul.max() >= n:
+            raise ValueError("table entries must lie in [0, order)")
         dtype = np.int16 if n <= 2**15 - 1 else np.int32
-        mul = mul.astype(dtype, copy=False)
         self.order = n
-        self.mul = mul
-        where = np.nonzero(mul == 0)
-        if len(where[0]) != n or not np.array_equal(where[0], np.arange(n)):
-            raise ValueError("table has no unique two-sided inverse per element")
-        self.inv = where[1].astype(dtype)
+        self.mul = mul.astype(dtype, copy=False)
+        self.inv = self.mul.argmin(axis=1).astype(dtype)  # a right inverse, if the row has 0
         self.spec_text = spec_text
         self._rows = None
         self._fingerprint = None
@@ -396,24 +395,21 @@ class GroupTable:
         return self._rows
 
     def validate(self) -> None:
-        """Check identity, Latin square, inverses, associativity.
+        """Check that the table is a group, testing only what the proof needs.
 
-        Associativity is exhaustive at every order, by Light's test:
-        (xg)y == x(gy) for all x, y and each generator g. The elements b
-        with (xb)y == x(by) for all x, y are closed under products, so when
-        they include a generating set they are the whole table.
+        Entries lie in [0, order), as the constructor checked. Here 0 must be
+        a two-sided identity, each x needs a right inverse inv[x], and Light's
+        test must pass: (xg)y == x(gy) for all x, y and each generator g. The
+        b with (xb)y == x(by) for all x, y are closed under products, so they
+        are the whole table. Associative, with an identity and right inverses,
+        the table is a group: a Latin square with two-sided inverses.
         """
-        n = self.order
         mul = self.mul
-        idx = np.arange(n)
+        idx = np.arange(self.order)
         if not (np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx)):
             raise ValueError("element 0 is not a two-sided identity")
-        if not np.array_equal(np.sort(mul, axis=1), np.tile(idx, (n, 1))):
-            raise ValueError("rows are not permutations")
-        if not np.array_equal(np.sort(mul, axis=0), np.tile(idx[:, None], (1, n))):
-            raise ValueError("columns are not permutations")
-        if not np.array_equal(mul[idx, self.inv], np.zeros(n, dtype=mul.dtype)):
-            raise ValueError("inverse table is inconsistent")
+        if mul[idx, self.inv].any():
+            raise ValueError("some element has no right inverse")
         for g in self.generators():
             if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
                 raise ValueError("associativity fails")

@@ -3,14 +3,17 @@
 Subgroups are bitsets over element ids (Python ints); masks are built in C
 as `sum(map(bit, elems))`. Enumeration is cyclic extension (Neubueser 1960)
 over conjugacy-class representatives H, each kept with its element list:
-<H, g> is tried once per left coset gH inside N(H) (and, for non-solvable
-groups, once per double coset HgH outside it), and its whole class is
-registered at once by conjugation under the non-central generators of G.
+<H, g> is tried once per left coset gH inside N(H) with g^p in H (and,
+for non-solvable groups, once per double coset HgH outside N(H)), and its
+whole class is registered at once by conjugation under the non-central
+generators of G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -125,7 +128,8 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
     conjugacy class is registered at once. The walk covers N(H) outside H
     one left coset gH = Hg at a time, as each element of gH gives what g
     gives; N(H) is G for a one-member class, else the g that conjugate each
-    generator of H into H. This reaches exactly the subgroups with a chain
+    generator of H into H. It skips each coset with no g^p in H, as for g in
+    N(H) (gh)^p is in g^p H. This reaches exactly the subgroups with a chain
     of normal prime-index steps up from 1, so it reaches G exactly when G is
     solvable. Otherwise a second pass takes <H, g> for g outside N(H),
     skipping the double coset HgH, for every representative (walking N(H)
@@ -139,6 +143,10 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
     perms = _conjugation_perms(G)
     power_maps = [(p, _power_map(G.mul, p)) for p, _ in factorize(n)]
     bit = _bit(n)
+    roots = [0] * n  # roots[h]: every g with g^p = h for a prime p dividing n
+    for _, power in power_maps:
+        for g, h in enumerate(power):
+            roots[h] |= bit(g)
     full = (1 << n) - 1
     found: set[int] = set()
     orbits: list[set[int]] = []
@@ -161,7 +169,8 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
         if full in found:
             break
         for i, (mask, elems, gens, norm) in enumerate(reps):  # the list grows while it is walked
-            rest = norm ^ mask if i >= walked else 0  # N(H) outside H, in one pass only
+            # the cosets gH in N(H) outside H with g^p in H, in one pass only
+            rest = (norm & reduce(or_, map(roots.__getitem__, elems))) ^ mask if i >= walked else 0
             while rest:
                 g = (rest & -rest).bit_length() - 1
                 coset = list(map(rows[g].__getitem__, elems))

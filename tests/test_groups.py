@@ -264,6 +264,45 @@ class TestTables:
         assert G.mul[3 * 1 + 2, 3 * 1 + 2] == 3 * 0 + 1
         assert G.mul[3 * 0 + 1, 3 * 1 + 1] == 3 * 1 + 2
 
+    @pytest.mark.parametrize("bad", [-1, 3, 2**16 + 1])
+    def test_validate_checks_the_entry_range(self, bad):
+        # 2**16 + 1 would wrap to 1, the right entry, in the int16 table
+        mul = [[0, 1, 2], [1, 2, 0], [2, 0, bad]]
+        with pytest.raises(ValueError, match=r"\[0, order\)"):
+            GroupTable(mul)
+
+    def test_validate_needs_no_latin_check(self):
+        # identity and right inverses, but rows 1 and 2 repeat 0: Light's
+        # test rejects it, so no separate Latin check is needed
+        with pytest.raises(ValueError, match="associativity"):
+            GroupTable([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_validate_accepts_exactly_the_groups_of_small_order(self, n):
+        # every table on [0, n) whose row 0 and column 0 are the identity
+        verdicts = [(_accepted(mul), _is_group(mul)) for mul in _tables_with_identity(n)]
+        assert all(ours == naive for ours, naive in verdicts)
+        assert sum(naive for _, naive in verdicts) == 1  # C(n), with its labels fixed by 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_validate_accepts_exactly_the_groups_of_order_4_to_6(self, data):
+        # a relabelled group table with a few cells overwritten, or any
+        # table with an identity row and column
+        n = data.draw(st.integers(4, 6), label="n")
+        if data.draw(st.booleans(), label="near a group"):
+            base = build(data.draw(st.sampled_from(_GROUPS_BY_ORDER[n]), label="group")).rows
+            perm = [0] + data.draw(st.permutations(range(1, n)), label="labels")
+            mul = [[0] * n for _ in range(n)]
+            for x, y in product(range(n), repeat=2):
+                mul[perm[x]][perm[y]] = perm[base[x][y]]
+        else:
+            mul = [list(range(n))] + [[x] + [0] * (n - 1) for x in range(1, n)]
+        cell = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1), st.integers(0, n - 1))
+        for x, y, v in data.draw(st.lists(cell, max_size=(n - 1) ** 2), label="edits"):
+            mul[x][y] = v
+        assert _accepted(mul) == _is_group(mul)
+
     def test_validate_catches_broken_table(self):
         mul = np.array([[0, 1], [1, 1]], dtype=np.int16)
         with pytest.raises(ValueError):
@@ -290,6 +329,31 @@ class TestTables:
                         [4, 3, 1, 2, 0]])
         with pytest.raises(ValueError, match="associativity"):
             GroupTable(mul)
+
+
+_GROUPS_BY_ORDER = {4: ["C(4)", "EA(2,2)"], 5: ["C(5)"], 6: ["C(6)", "Sym(3)"]}
+
+
+def _is_group(mul) -> bool:
+    """Identity 0, associativity and two-sided inverses, each checked per definition."""
+    r = range(len(mul))
+    return (all(mul[0][x] == x == mul[x][0] for x in r)
+            and all(mul[mul[x][y]][z] == mul[x][mul[y][z]] for x in r for y in r for z in r)
+            and all(any(mul[x][y] == 0 == mul[y][x] for y in r) for x in r))
+
+
+def _accepted(mul) -> bool:
+    try:
+        GroupTable(mul)
+    except ValueError:
+        return False
+    return True
+
+
+def _tables_with_identity(n):
+    for cells in product(range(n), repeat=(n - 1) ** 2):
+        yield [list(range(n))] + [[x, *cells[(x - 1) * (n - 1):x * (n - 1)]]
+                                  for x in range(1, n)]
 
 
 def _metacyclic_reference(m, k, r):

@@ -4,8 +4,8 @@ Two oracles stand beside the enumerator. An exhaustive subset scan tests
 every subset of a group of order <= 16 for closure. A closure oracle grows
 subgroups one element at a time up to a fixed point and forms classes by
 conjugating with every element of G; it pins masks, canonical order,
-classes and normal flags on the order-32 catalog and on the non-solvable
-Sym(5).
+classes and normal flags on the order-32 catalog, on the non-solvable
+Sym(5) and on three groups of order 72 to 105.
 """
 
 from __future__ import annotations
@@ -105,9 +105,12 @@ class TestEnumeration:
         lat = enumerate_subgroups(G)
         assert {s.mask for s in lat.subgroups} == subsets_that_are_subgroups(G)
 
-    # every catalog group up to order 32, and Sym(5), whose lattice needs
-    # the second pass over G outside N(H)
-    @pytest.mark.parametrize("spec", [spec for spec, _ in catalog_specs(32)] + ["Sym(5)"])
+    # every catalog group up to order 32; Sym(5), whose lattice needs the
+    # second pass over G outside N(H); and three larger groups of two or
+    # three primes, where the first pass skips half or more of the cosets
+    # gH in N(H), those with no g^p in H
+    @pytest.mark.parametrize("spec", [spec for spec, _ in catalog_specs(32)]
+                             + ["Sym(5)", "Sym(4) x C(3)", "SDP(3,28,9)", "ZM(7,3,2) x C(5)"])
     def test_matches_closure_oracle(self, spec):
         G = build(spec)
         lat = enumerate_subgroups(G)

@@ -257,10 +257,12 @@ _FAMILIES: dict[str, _Family] = {
                                 for n in range(1, cap // p + 1) if _check_sdp((p, n)) is None
                                 for k0 in range(n))),
     # no even m has a valid r: gcd(m, r-1) = 1 makes r even, and then r**n
-    # is even, so r**n == 1 (mod m) fails
+    # is even, so r**n == 1 (mod m) fails; the walk also applies the check's
+    # rules gcd(m, n) == 1 and r**n == 1 (mod m)
     "ZM": _Family(3, _check_zm, lambda p: p[0] * p[1], lambda p: metacyclic_table(*p),
                   lambda cap: ((m, n, r) for m in range(1, cap + 1, 2)
-                               for n in range(1, cap // m + 1) for r in range(m))),
+                               for n in range(1, cap // m + 1) if math.gcd(m, n) == 1
+                               for r in range(m) if pow(r, n, m) == 1 % m)),
     "EA": _Family(2, _check_ea, lambda p: p[0] ** p[1], lambda p: _table_ea(*p),
                   _prime_powers),
 }
@@ -358,21 +360,37 @@ def parse_spec(text: str) -> GroupSpec:
 # group tables
 
 
+class _Lines(dict):
+    """Lines of a 2-d array as plain lists, each converted on first use."""
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __missing__(self, i: int) -> list[int]:
+        line = self[i] = self.array[i].tolist()
+        return line
+
+
 class GroupTable:
     """Immutable finite group presented by its full multiplication table.
 
     Element 0 is the identity. `mul` is an order x order integer array,
-    frozen after the axioms check.
+    frozen after the axioms check. `rows[x][y]` and `cols[y][x]` are both
+    x*y: the fast path for elementwise loops, converting each line of `mul`
+    to a list on first use, so a caller pays only for the lines it reads.
     """
 
-    __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_fingerprint", "_generators")
+    __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_cols",
+                 "_fingerprint", "_generators")
 
     def __init__(self, mul, spec_text=None):
         mul = np.ascontiguousarray(mul)
         n = mul.shape[0]
         if mul.shape != (n, n):
             raise ValueError("multiplication table must be square")
-        # before the narrowing cast, which would wrap large entries into range
+        # before the casts, which would truncate fractions and wrap big entries
+        if not np.issubdtype(mul.dtype, np.integer):
+            raise ValueError(f"table entries must be integers, not {mul.dtype}")
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries must lie in [0, order)")
         dtype = np.int16 if n <= 2**15 - 1 else np.int32
@@ -381,6 +399,7 @@ class GroupTable:
         self.inv = self.mul.argmin(axis=1).astype(dtype)  # a right inverse, if the row has 0
         self.spec_text = spec_text
         self._rows = None
+        self._cols = None
         self._fingerprint = None
         self._generators = None
         self.validate()
@@ -388,11 +407,18 @@ class GroupTable:
         self.inv.flags.writeable = False
 
     @property
-    def rows(self) -> list[list[int]]:
-        """Table rows as plain lists; the fast path for elementwise loops."""
+    def rows(self) -> dict[int, list[int]]:
+        """rows[x] is row x of `mul` as a list, converted on first use."""
         if self._rows is None:
-            self._rows = self.mul.tolist()
+            self._rows = _Lines(self.mul)
         return self._rows
+
+    @property
+    def cols(self) -> dict[int, list[int]]:
+        """cols[y] is column y of `mul` as a list, converted on first use."""
+        if self._cols is None:
+            self._cols = _Lines(self.mul.T)
+        return self._cols
 
     def validate(self) -> None:
         """Check that the table is a group, testing only what the proof needs.
@@ -428,13 +454,12 @@ class GroupTable:
     def generators(self) -> list[int]:
         """A small generating set found greedily; identity-only group gives []."""
         if self._generators is None:
-            rows = self.rows
             gens: list[int] = []
             mask = 1
             for g in range(self.order):
                 if not mask >> g & 1:
                     gens.append(g)
-                    mask, _ = closure(rows, gens)
+                    mask, _ = closure(self.cols, gens)
             self._generators = gens
         return list(self._generators)
 
@@ -443,34 +468,30 @@ class GroupTable:
         return f"GroupTable({tag}, order={self.order})"
 
 
-def closure(rows: list[list[int]], gens, limit: int | None = None) -> tuple[int, int] | None:
+def closure(lines, gens, limit: int | None = None) -> tuple[int, int] | None:
     """(bitmask, size) of the subgroup generated by gens, by breadth-first search.
 
-    Returns None as soon as the subgroup has more than `limit` elements.
+    `lines` is a table's `cols` (steps x -> x*g) or `rows` (x -> g*x); only
+    lines[g] for g in gens is read. Returns None as soon as the subgroup has
+    more than `limit` elements; `limit=None` sets no bound.
     """
-    if limit is None:
-        limit = len(rows)
+    steps = [lines[g] for g in gens]
     mask = 1
     elems = [0]
-    pos = 0
-    count = 1
-    while pos < count:
-        row = rows[elems[pos]]
-        pos += 1
-        for g in gens:
-            b = row[g]
+    for x in elems:  # the list grows while it is walked
+        for step in steps:
+            b = step[x]
             if not mask >> b & 1:
                 mask |= 1 << b
                 elems.append(b)
-                count += 1
-                if count > limit:
+                if limit is not None and len(elems) > limit:
                     return None
-    return mask, count
+    return mask, len(elems)
 
 
 def element_order(G: GroupTable, x: int) -> int:
     """Multiplicative order of element x: the size of the cyclic subgroup it generates."""
-    return closure(G.rows, [x])[1]
+    return closure(G.cols, [x])[1]
 
 
 def build(spec: GroupSpec | str) -> GroupTable:

@@ -133,9 +133,11 @@ class TestConstraints:
         assert family_params(name, cap) == expected
 
     def test_zm_rejects_every_even_modulus(self):
-        # family_params("ZM", cap) walks odd m only
+        # family_params("ZM", cap) walks only odd m, n prime to m and the r
+        # with r**n == 1 (mod m); the check rejects every tuple it skips
         assert all(_check_zm((m, n, r)) is not None
-                   for m in range(2, 61, 2) for n in range(1, 61) for r in range(61))
+                   for m in range(1, 61) for n in range(1, 61) for r in range(61)
+                   if m % 2 == 0 or gcd(m, n) != 1 or pow(r, n, m) != 1 % m)
 
     def test_build_order_ceiling(self):
         with pytest.raises(ConstraintError):
@@ -271,6 +273,15 @@ class TestTables:
         with pytest.raises(ValueError, match=r"\[0, order\)"):
             GroupTable(mul)
 
+    @pytest.mark.parametrize("mul", [
+        [[0, 1, 2], [1, 2, 0], [2, 0, 1.9]],  # int16 would truncate 1.9 to 1, giving C(3)
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        [[True, False], [False, True]],
+    ])
+    def test_validate_rejects_non_integer_entries(self, mul):
+        with pytest.raises(ValueError, match="integers"):
+            GroupTable(mul)
+
     def test_validate_needs_no_latin_check(self):
         # identity and right inverses, but rows 1 and 2 repeat 0: Light's
         # test rejects it, so no separate Latin check is needed
@@ -329,6 +340,56 @@ class TestTables:
                         [4, 3, 1, 2, 0]])
         with pytest.raises(ValueError, match="associativity"):
             GroupTable(mul)
+
+
+def _greedy_generators(G) -> list[int]:
+    """The greedy search over fully converted rows, by breadth-first closure."""
+    rows = G.mul.tolist()
+    gens: list[int] = []
+    seen = {0}
+    for g in range(G.order):
+        if g not in seen:
+            gens.append(g)
+            seen, frontier = {0}, [0]
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    if rows[x][s] not in seen:
+                        seen.add(rows[x][s])
+                        frontier.append(rows[x][s])
+    return gens
+
+
+class TestLines:
+    def test_build_converts_only_the_generator_columns(self):
+        G = build("Dih(2048)")
+        assert len(G.rows) == 0
+        assert len(G.cols) == len(G.generators())
+
+    @pytest.mark.parametrize("spec", ["C(1)", "Sym(4)", "Q(4) x C(3)", "SDP(3,7,2)"])
+    def test_lines_match_the_table(self, spec):
+        G = build(spec)
+        n = G.order
+        assert all(G.rows[x] == G.mul[x].tolist() for x in range(n))
+        assert all(G.cols[y] == G.mul[:, y].tolist() for y in range(n))
+        assert len(G.rows) == len(G.cols) == n
+
+    @pytest.mark.parametrize("spec", GROUP_AXIOM_SPECS)
+    def test_closure_reads_rows_or_cols(self, spec):
+        G = build(spec)
+        n = G.order
+        # no limit, even though no row has been converted yet
+        assert closure(G.rows, G.generators()) == ((1 << n) - 1, n)
+        rng = np.random.default_rng(3)
+        for g in range(n):
+            gens = [g, int(rng.integers(n))]
+            assert closure(G.rows, gens[:1]) == closure(G.cols, gens[:1])
+            assert closure(G.rows, gens) == closure(G.cols, gens)
+
+    @pytest.mark.parametrize("spec", [*GROUP_AXIOM_SPECS, "Sym(5)"])
+    def test_generators_match_the_greedy_search_over_rows(self, spec):
+        G = build(spec)
+        assert G.generators() == _greedy_generators(G)
 
 
 _GROUPS_BY_ORDER = {4: ["C(4)", "EA(2,2)"], 5: ["C(5)"], 6: ["C(6)", "Sym(3)"]}

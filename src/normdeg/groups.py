@@ -360,28 +360,27 @@ def parse_spec(text: str) -> GroupSpec:
 # group tables
 
 
-class _Lines(dict):
-    """Lines of a 2-d array as plain lists, each converted on first use."""
+class _Rows(dict):
+    """Rows of a 2-d array as plain lists, each converted on first use."""
 
     def __init__(self, array: np.ndarray):
         self.array = array
 
     def __missing__(self, i: int) -> list[int]:
-        line = self[i] = self.array[i].tolist()
-        return line
+        row = self[i] = self.array[i].tolist()
+        return row
 
 
 class GroupTable:
     """Immutable finite group presented by its full multiplication table.
 
     Element 0 is the identity. `mul` is an order x order integer array,
-    frozen after the axioms check. `rows[x][y]` and `cols[y][x]` are both
-    x*y: the fast path for elementwise loops, converting each line of `mul`
-    to a list on first use, so a caller pays only for the lines it reads.
+    frozen after the axioms check. `rows[x][y]` is x*y: the fast path for
+    elementwise loops, converting each row of `mul` to a list on first use,
+    so a caller pays only for the rows it reads.
     """
 
-    __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_cols",
-                 "_fingerprint", "_generators")
+    __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_fingerprint", "_generators")
 
     def __init__(self, mul, spec_text=None):
         mul = np.ascontiguousarray(mul)
@@ -399,7 +398,6 @@ class GroupTable:
         self.inv = self.mul.argmin(axis=1).astype(dtype)  # a right inverse, if the row has 0
         self.spec_text = spec_text
         self._rows = None
-        self._cols = None
         self._fingerprint = None
         self._generators = None
         self.validate()
@@ -408,17 +406,14 @@ class GroupTable:
 
     @property
     def rows(self) -> dict[int, list[int]]:
-        """rows[x] is row x of `mul` as a list, converted on first use."""
-        if self._rows is None:
-            self._rows = _Lines(self.mul)
-        return self._rows
+        """rows[x] is row x of `mul` as a list, converted on first use.
 
-    @property
-    def cols(self) -> dict[int, list[int]]:
-        """cols[y] is column y of `mul` as a list, converted on first use."""
-        if self._cols is None:
-            self._cols = _Lines(self.mul.T)
-        return self._cols
+        Only rows[x] indexing is supported: len() and iteration see just
+        the rows converted so far, not the table.
+        """
+        if self._rows is None:
+            self._rows = _Rows(self.mul)
+        return self._rows
 
     def validate(self) -> None:
         """Check that the table is a group, testing only what the proof needs.
@@ -454,12 +449,13 @@ class GroupTable:
     def generators(self) -> list[int]:
         """A small generating set found greedily; identity-only group gives []."""
         if self._generators is None:
+            rows = self.rows
             gens: list[int] = []
             mask = 1
             for g in range(self.order):
                 if not mask >> g & 1:
                     gens.append(g)
-                    mask, _ = closure(self.cols, gens)
+                    mask, _ = closure(rows, gens)
             self._generators = gens
         return list(self._generators)
 
@@ -468,14 +464,14 @@ class GroupTable:
         return f"GroupTable({tag}, order={self.order})"
 
 
-def closure(lines, gens, limit: int | None = None) -> tuple[int, int] | None:
+def closure(rows: dict[int, list[int]], gens, limit: int | None = None) -> tuple[int, int] | None:
     """(bitmask, size) of the subgroup generated by gens, by breadth-first search.
 
-    `lines` is a table's `cols` (steps x -> x*g) or `rows` (x -> g*x); only
-    lines[g] for g in gens is read. Returns None as soon as the subgroup has
-    more than `limit` elements; `limit=None` sets no bound.
+    Steps x -> g*x, so only rows[g] for g in gens is read. Returns None as
+    soon as the subgroup has more than `limit` elements; `limit=None` sets
+    no bound.
     """
-    steps = [lines[g] for g in gens]
+    steps = [rows[g] for g in gens]
     mask = 1
     elems = [0]
     for x in elems:  # the list grows while it is walked
@@ -491,7 +487,7 @@ def closure(lines, gens, limit: int | None = None) -> tuple[int, int] | None:
 
 def element_order(G: GroupTable, x: int) -> int:
     """Multiplicative order of element x: the size of the cyclic subgroup it generates."""
-    return closure(G.cols, [x])[1]
+    return closure(G.rows, [x])[1]
 
 
 def build(spec: GroupSpec | str) -> GroupTable:

@@ -3,11 +3,11 @@
 Subgroups are bitsets over element ids (Python ints); masks are built in C
 as `sum(map(bit, elems))`. Enumeration is cyclic extension (Neubueser 1960)
 over conjugacy-class representatives H, each kept with its element list:
-<H, g> is tried once per coset Hg = gH inside N(H) with g^p in H (and,
+<H, g> is tried once per left coset gH inside N(H) with g^p in H (and,
 for non-solvable groups, once per double coset HgH outside N(H)), and its
 whole class is registered at once by conjugation under the non-central
 generators of G, unless those map its generators into it. The walks read
-only the table's columns (`cols[g][x]` is x*g) that they multiply by.
+only the table rows (`rows[g][x]` is g*x) of the elements they multiply by.
 """
 
 from __future__ import annotations
@@ -127,13 +127,13 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
     up: for a representative H and g in N(H) outside H with g^p in H for a
     prime p, K = H<g> has H as a normal subgroup of index p, and K's whole
     conjugacy class is registered at once. The walk covers N(H) outside H
-    one coset Hg = gH at a time, as each element of Hg gives what g
+    one left coset gH = Hg at a time, as each element of gH gives what g
     gives; N(H) is G for a one-member class, else the g that conjugate each
     generator of H into H. It skips each coset with no g^p in H, as for g in
     N(H) (gh)^p is in g^p H. This reaches exactly the subgroups with a chain
     of normal prime-index steps up from 1, so it reaches G exactly when G is
     solvable. Otherwise a second pass takes <H, g> for g outside N(H),
-    skipping the double coset HgH one right coset Hgh at a time, for every
+    skipping the double coset HgH one left coset hgH at a time, for every
     representative (walking N(H) first for those it finds); it is complete,
     as every subgroup K > 1 is <M, g> for any maximal M < K and any g in K
     outside M.
@@ -141,7 +141,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
     n = G.order
     if n > cap:
         raise CapExceededError(n, cap)
-    cols = G.cols
+    rows = G.rows
     perms = _conjugation_perms(G)
     power_maps = [(p, _power_map(G.mul, p)) for p, _ in factorize(n)]
     bit = _bit(n)
@@ -177,15 +177,16 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
             rest = (norm & reduce(or_, map(roots.__getitem__, elems))) ^ mask if i >= walked else 0
             while rest:
                 g = (rest & -rest).bit_length() - 1
-                coset = list(map(cols[g].__getitem__, elems))
+                step = rows[g]
+                coset = list(map(step.__getitem__, elems))
                 skip = sum(map(bit, coset))
                 for p, power in power_maps:
                     if mask >> power[g] & 1:
                         ext = elems + coset
                         x = g
                         for _ in range(p - 2):
-                            x = cols[g][x]
-                            coset = list(map(cols[x].__getitem__, elems))
+                            x = step[x]
+                            coset = list(map(rows[x].__getitem__, elems))
                             ext += coset
                             skip |= sum(map(bit, coset))
                         if skip | mask not in found:
@@ -195,13 +196,13 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
             rest = full ^ norm if general else 0  # G outside N(H)
             while rest:
                 g = (rest & -rest).bit_length() - 1
-                k = closure(cols, gens + (g,))[0]
+                k = closure(rows, gens + (g,))[0]
                 if k not in found:
                     register(k, _mask_elements(k), gens + (g,))
-                for h in elems:  # HgH, one right coset Hgh at a time
-                    x = cols[h][g]
+                for h in elems:  # HgH, one left coset hgH at a time
+                    x = rows[h][g]
                     if rest >> x & 1:
-                        rest &= ~sum(map(bit, map(cols[x].__getitem__, elems)))
+                        rest &= ~sum(map(bit, map(rows[x].__getitem__, elems)))
         walked = len(reps)
 
     masks = sorted(found, key=_canonical_key(n))

@@ -1,8 +1,10 @@
 """Normality degree and subgroup commutativity degree, all exact.
 
-Three independent routes produce the same value on overlapping domains:
+Three independent routes produce the same ndeg on overlapping domains:
 brute force over the full lattice, the conjugacy-class route via
 normalizer indices, and (for coprime direct products) multiplicativity.
+sd has one route, `sd_brute`: two float32 products over the 0/1 subgroup
+membership matrix test each non-normal class against every subgroup.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .errors import ConstraintError
 from .groups import GroupTable
@@ -100,44 +104,49 @@ def sd_brute(
 ) -> Fraction:
     """Fraction of ordered subgroup pairs (H, K) whose product set is a subgroup.
 
-    HK has t = |H||K|/|H meet K| elements, and it is a subgroup exactly when
-    some subgroup of order t contains H and K (that subgroup is then HK).
-    Such a subgroup contains H, so the subgroups containing H are collected
-    once per tested H, grouped by order, and each K is looked up among
-    those of order t. Two exact reductions leave only some non-normal pairs
-    to test:
+    HK has |H||K|/|H meet K| elements and lies in <H, K>, so it is a subgroup
+    exactly when |<H, K> : K| = |H : H meet K|. Two exact reductions leave
+    only some pairs to test (k = |L|, m of them non-normal):
 
-    - when H is normal, kH = Hk for every k, so HK = KH (and likewise when
-      K is normal): of the k^2 ordered pairs (k = |L|, m of them
-      non-normal) the k^2 - m^2 with a normal factor count without a test;
-    - HK = KH exactly when H^g K^g = K^g H^g, and conjugation by g
-      permutes the non-normal subgroups, so every member of a conjugacy
-      class commutes with as many non-normal K as its representative does:
-      only the representative is tested, and its count weighted by the
-      class size.
+    - when H is normal, HK = KH for every K: the k(k - m) pairs with H
+      normal count untested. A normal K passes the test too; it stays in,
+      as a column costs less than selecting the other columns out;
+    - conjugation permutes the non-normal subgroups and keeps HK = KH, so
+      each class member commutes with as many K as its representative:
+      only that one is tested, weighted by the class size.
+
+    M is the k x n 0/1 membership matrix, unpacked in blocks of rows that
+    are multiplied while in cache: M[reps] M^T gives |H meet S|, so H <= S,
+    for each tested H; M[cols] M^T gives K <= S for the S above some H. The
+    least |S : K| over the S above H and K is |<H, K> : K|. Every value is
+    an integer of at most n < 2^24 (any table in memory): exact in float32.
     """
     lat = lattice if lattice is not None else enumerate_subgroups(G)
-    non_normal = [(s.mask, s.size)
-                  for s, normal in zip(lat.subgroups, lat.normal_flags) if not normal]
-    k, m = len(lat), len(non_normal)
-    ordered = k * k - m * m
-    for cls in lat.classes:
-        if len(cls) > 1:
-            rep = lat.subgroups[cls[0]]
-            mask_h, size_h = rep.mask, rep.size
-            over_h: dict[int, list[int]] = {}
-            for s in lat.subgroups:
-                if s.mask & mask_h == mask_h:
-                    over_h.setdefault(s.size, []).append(s.mask)
-            hits = 0
-            for mask_k, size_k in non_normal:
-                t = size_h * size_k // (mask_h & mask_k).bit_count()
-                for mask in over_h.get(t, ()):
-                    if mask & mask_k == mask_k:
-                        hits += 1
-                        break
-            ordered += len(cls) * hits
-    return Fraction(ordered, k * k)
+    k, m = len(lat), len(lat) - lat.normal_count
+    if not m:
+        return Fraction(1)
+    width = (G.order + 7) // 8
+    packed = np.frombuffer(b"".join([s.mask.to_bytes(width, "little") for s in lat.subgroups]),
+                           np.uint8).reshape(k, width)
+    rows = np.unpackbits(packed, axis=1, count=G.order, bitorder="little")  # M, as uint8
+    step = max(1, (1 << 20) // G.order)  # 4 MB float32 blocks of M
+
+    def meets(picked):  # M[picked] M^T: |A meet S| for each picked A and every S
+        left = rows[picked].astype(np.float32)
+        return np.concatenate([left @ rows[i:i + step].astype(np.float32).T
+                               for i in range(0, k, step)], axis=1)
+
+    sizes = np.array([s.size for s in lat.subgroups], np.float32)
+    multi = [cls for cls in lat.classes if len(cls) > 1]
+    reps = [cls[0] for cls in multi]
+    size_h = sizes[reps, None]
+    meet = meets(reps)
+    over = meet == size_h
+    cols = over.any(axis=0).nonzero()[0]
+    index = np.where(meets(cols) == sizes, sizes[cols, None] / sizes, np.inf)  # |S : K| if K <= S
+    join = np.array([index[above].min(axis=0) for above in over[:, cols]])  # |<H, K> : K|
+    hits = (join == size_h / meet).sum(axis=1)
+    return Fraction(k * (k - m) + int(hits @ [len(cls) for cls in multi]), k * k)
 
 
 def is_dedekind(

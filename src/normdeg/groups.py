@@ -394,7 +394,7 @@ class GroupTable:
             raise ValueError("table entries must lie in [0, order)")
         dtype = np.int16 if n <= 2**15 - 1 else np.int32
         self.order = n
-        self.mul = mul.astype(dtype, copy=False)
+        self.mul = mul.astype(dtype)  # always a copy: freezing it leaves the caller's array be
         self.inv = self.mul.argmin(axis=1).astype(dtype)  # a right inverse, if the row has 0
         self.spec_text = spec_text
         self._rows = None

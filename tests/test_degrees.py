@@ -2,7 +2,7 @@
 
 The subgroup commutativity oracle here multiplies element sets directly
 (HK as a literal set product) so it shares nothing with the implementation's
-lookup among the subgroups that contain H.
+membership-matrix products and join test.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from normdeg.degrees import (
     sd_brute,
 )
 from normdeg.errors import ConstraintError
+from normdeg.explorer import catalog_specs
 from normdeg.groups import build
 from normdeg.lattice import enumerate_subgroups
 
@@ -101,14 +102,16 @@ class TestKnownDegrees:
 
 
 class TestCommutativityDegree:
-    @pytest.mark.parametrize("spec", [
+    @pytest.mark.parametrize("spec", sorted({
         "Sym(3)", "Dih(4)", "Q(3)", "Sym(4)", "C(12)", "EA(2,2)",
         "Dih(6)", "ZM(5,2,4)", "M(3,3)",
         "Sym(3) x C(2)", "Dih(4) x C(2)", "Sym(3) x C(3)",
         # non-normal classes of size >= 3, normal and non-normal containers
         "Dih(8)", "SD(4)", "Q(4) x C(2)", "Sym(3) x Sym(3)", "Dih(5) x C(3)",
         "Sym(4) x C(2)",
-    ])
+        # every catalog group up to order 32: the small lattices, where the
+        # kernel's edge cases are (C(1), one non-normal class, EA(2,5))
+    } | {spec for spec, _ in catalog_specs(32)}))
     def test_matches_set_product_oracle(self, spec):
         G = build(spec)
         assert sd_brute(G) == sd_by_set_products(G)
@@ -134,6 +137,21 @@ class TestCommutativityDegree:
     ])
     def test_frozen_values_on_larger_lattices(self, spec, value):
         assert sd_brute(build(spec)) == value
+
+    @pytest.mark.parametrize("spec, cap, value", [
+        ("Dih(6) x Dih(6)", 512, Fraction(35999, 69312)),
+        ("Sym(5) x C(2)", 512, Fraction(10323, 57245)),
+        ("Dih(4) x Dih(4) x C(2)", 512, Fraction(293729, 368449)),
+        ("Sym(4) x Sym(4)", 1024, Fraction(57423, 246016)),
+        # order 4096, the build ceiling: the most elements a product entry counts
+        ("Dih(2048)", 4096, Fraction(262273, 16867449)),
+        # Dedekind groups: no non-normal subgroup, so nothing is tested
+        ("C(1)", 512, Fraction(1)),
+        ("Q(3) x C(3)", 512, Fraction(1)),
+    ])
+    def test_frozen_values_past_the_corpus(self, spec, cap, value):
+        G = build(spec)
+        assert sd_brute(G, lattice=enumerate_subgroups(G, cap=cap)) == value
 
     def test_sym3_by_hand(self):
         # 36 ordered pairs; the (reflection, different reflection) pairs

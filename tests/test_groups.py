@@ -266,6 +266,14 @@ class TestTables:
         assert G.mul[3 * 1 + 2, 3 * 1 + 2] == 3 * 0 + 1
         assert G.mul[3 * 0 + 1, 3 * 1 + 1] == 3 * 1 + 2
 
+    def test_table_does_not_freeze_or_share_the_callers_array(self):
+        # an int16 array already has the table dtype, so a cast need not copy it
+        a = build("C(5)").mul.copy()
+        G = GroupTable(a)
+        assert a.flags.writeable and not np.shares_memory(G.mul, a)
+        a[1, 1] = 0
+        assert G.mul[1, 1] == 2 and not G.mul.flags.writeable
+
     @pytest.mark.parametrize("bad", [-1, 3, 2**16 + 1])
     def test_validate_checks_the_entry_range(self, bad):
         # 2**16 + 1 would wrap to 1, the right entry, in the int16 table

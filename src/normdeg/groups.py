@@ -148,37 +148,46 @@ def _check_ea(params: tuple[int, ...]) -> tuple[str, str] | None:
 
 
 # ---------------------------------------------------------------------------
-# table builders (numpy blocks; element ids documented per family)
+# table builders (numpy blocks; element ids documented per family), all int16:
+# ids and intermediates stay below 2 * MAX_BUILD_ORDER < 2**15
+
+
+def _check_build_order(order: int) -> None:
+    if order > MAX_BUILD_ORDER:
+        raise ConstraintError("group too large to materialize",
+                              f"order {order} exceeds build ceiling {MAX_BUILD_ORDER}")
 
 
 def _table_cyclic(n: int) -> np.ndarray:
-    a = np.arange(n)
-    return (a[:, None] + a[None, :]) % n
+    a = np.arange(n, dtype=np.int16)
+    return (a[:, None] + a) % n
 
 
 def metacyclic_table(m: int, k: int, r: int) -> np.ndarray:
-    """Table of <x,y | x^m = y^k = 1, y^-1 x y = x^r>; id of x^i y^a is a*m + i.
+    """int16 table of <x,y | x^m = y^k = 1, y^-1 x y = x^r>; id of x^i y^a is a*m + i.
 
-    Requires gcd(r, m) == 1 and r^k == 1 (mod m). Internally the product
-    uses s = r^-1 mod m so that x (id 1) and y (id m) satisfy the stated
-    relation exactly.
+    Requires gcd(r, m) == 1, r^k == 1 (mod m) and k*m <= MAX_BUILD_ORDER, so
+    that int16 holds every id. Internally the product uses s = r^-1 mod m so
+    that x (id 1) and y (id m) satisfy the stated relation exactly.
     """
+    _check_build_order(k * m)
     if math.gcd(r, m) != 1 or pow(r, k, m) != 1 % m:
         raise ConstraintError("metacyclic requires gcd(r, m) == 1 and r**k == 1 (mod m)")
     s = pow(r, -1, m)
-    powers = np.array([pow(s, a, m) for a in range(k)])
+    # scaled[a, i] = s^a i mod m, reduced in int64 over k*m entries only
+    scaled = (np.array([pow(s, a, m) for a in range(k)])[:, None] * np.arange(m) % m).astype(np.int16)
     # x^i1 y^a1 * x^i2 y^a2 = x^(i1 + s^a1 i2) y^(a1 + a2), indexed [a1, i1, a2, i2]
-    a1, i1, a2, i2 = np.ix_(range(k), range(m), range(k), range(m))
-    return ((i1 + powers[a1] * i2) % m + (a1 + a2) % k * m).reshape(k * m, k * m)
+    a1, i1, a2, i2 = np.ix_(*(np.arange(j, dtype=np.int16) for j in (k, m, k, m)))
+    return ((i1 + scaled[a1, i2]) % m + (a1 + a2) % k * m).reshape(k * m, k * m)
 
 
 def _table_quaternion(n: int) -> np.ndarray:
     # x of order 2^(n-1); y^2 = x^(2^(n-2)); y x y^-1 = x^-1
     m = 1 << (n - 1)
     h = 1 << (n - 2)
-    i = np.arange(m)
-    add = (i[:, None] + i[None, :]) % m
-    sub = (i[:, None] - i[None, :]) % m
+    i = np.arange(m, dtype=np.int16)
+    add = (i[:, None] + i) % m
+    sub = (i[:, None] - i) % m
     top = np.hstack([add, add + m])
     bot = np.hstack([sub + m, (sub + h) % m])
     return np.vstack([top, bot])
@@ -197,14 +206,12 @@ def _table_sym(n: int) -> np.ndarray:
     perms = np.array(list(itertools.permutations(range(n))))
     weights = n ** np.arange(n - 1, -1, -1)
     products = np.take_along_axis(perms[:, None, :], perms[None, :, :], axis=2)
-    return np.searchsorted(perms @ weights, products @ weights)
+    return np.searchsorted(perms @ weights, products @ weights).astype(np.int16)
 
 
 def _product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na, nb = a.shape[0], b.shape[0]
-    return (
-        a.astype(np.int64)[:, None, :, None] * nb + b[None, :, None, :]
-    ).reshape(na * nb, na * nb)
+    return (a[:, None, :, None] * nb + b[None, :, None, :]).reshape(na * nb, na * nb)
 
 
 def _table_ea(p: int, k: int) -> np.ndarray:
@@ -374,10 +381,11 @@ class _Rows(dict):
 class GroupTable:
     """Immutable finite group presented by its full multiplication table.
 
-    Element 0 is the identity. `mul` is an order x order integer array,
-    frozen after the axioms check. `rows[x][y]` is x*y: the fast path for
-    elementwise loops, converting each row of `mul` to a list on first use,
-    so a caller pays only for the rows it reads.
+    Element 0 is the identity. `mul` is an order x order int16 array, as
+    every builder makes it (int32 past order 32 767), frozen after the
+    axioms check. `rows[x][y]` is x*y: the fast path for elementwise loops,
+    converting each row of `mul` to a list on first use, so a caller pays
+    only for the rows it reads.
     """
 
     __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_fingerprint", "_generators")
@@ -432,7 +440,7 @@ class GroupTable:
         if mul[idx, self.inv].any():
             raise ValueError("some element has no right inverse")
         for g in self.generators():
-            if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
+            if not np.array_equal(mul.take(mul[:, g], axis=0), mul.take(mul[g], axis=1)):
                 raise ValueError("associativity fails")
 
     @property
@@ -494,12 +502,7 @@ def build(spec: GroupSpec | str) -> GroupTable:
     """Materialize the multiplication table for a spec (string or AST)."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    order = spec.order()
-    if order > MAX_BUILD_ORDER:
-        raise ConstraintError(
-            "group too large to materialize",
-            f"order {order} exceeds build ceiling {MAX_BUILD_ORDER}",
-        )
+    _check_build_order(spec.order())
     return GroupTable(_build_raw(spec), spec_text=render(spec))
 
 

@@ -6,8 +6,9 @@ over conjugacy-class representatives H, each kept with its element list:
 <H, g> is tried once per left coset gH inside N(H) with g^p in H (and,
 for non-solvable groups, once per double coset HgH outside N(H)), and its
 whole class is registered at once by conjugation under the non-central
-generators of G, unless those map its generators into it. The walks read
-only the table rows (`rows[g][x]` is g*x) of the elements they multiply by.
+generators of G, stopping at |G : N(K)| conjugates, unless those map its
+generators into it. The walks read only the table rows (`rows[g][x]` is
+g*x) of the elements they multiply by.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .groups import GroupTable, closure
 from .numtheory import factorize
 
 DEFAULT_CAP = 512
+_BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, its bits reversed
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,12 @@ def _conjugation_perms(G: GroupTable) -> list[list[int]]:
     return [perm.tolist() for perm in perms if not np.array_equal(perm, identity)]
 
 
-def _conjugates(elems: list[int], perms: list[list[int]], bit) -> set[int]:
-    """Masks of every conjugate of the subgroup with these elements."""
+def _conjugates(elems: list[int], perms: list[list[int]], bit, size: int = 0) -> set[int]:
+    """Masks of every conjugate of the subgroup with these elements; a caller
+    that knows the class size |G : N(H)| passes it, and the walk stops there."""
     seen = {sum(map(bit, elems))}
     frontier = [elems]
-    while frontier:
+    while frontier and len(seen) != size:
         es = frontier.pop()
         for perm in perms:
             ces = list(map(perm.__getitem__, es))
@@ -115,9 +118,10 @@ def _power_map(mul: np.ndarray, e: int) -> list[int]:
 def _canonical_key(n: int):
     """Sort key on masks of width n: by size, then as by sorted member lists."""
     # for one size the lowest element of the symmetric difference decides: the
-    # mask holding it reads "0" there first in its complement, from bit 0 up
-    full, fmt = (1 << n) - 1, f"0{n}b"
-    return lambda m: (m.bit_count(), format(full ^ m, fmt)[::-1])
+    # mask holding it reads 0 there first in its complement, from bit 0 up, so
+    # compare little-endian bytes with each byte's bits reversed
+    full, width = (1 << n) - 1, (n + 7) // 8
+    return lambda m: (m.bit_count(), (full ^ m).to_bytes(width, "little").translate(_BITREV))
 
 
 def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattice:
@@ -159,10 +163,10 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
         if all(mask >> perm[g] & 1 for perm in perms for g in gens):
             orbit, norm = {mask}, full
         else:
-            orbit = _conjugates(elems, perms, bit)
             in_h = np.zeros(n, dtype=bool)
             in_h[elems] = True
             norm = _mask_of(in_h[G.mul[G.mul[:, list(gens)], G.inv[:, None]]].all(axis=1))
+            orbit = _conjugates(elems, perms, bit, n // norm.bit_count())
         found.update(orbit)
         orbits.append(orbit)
         reps.append((mask, elems, gens, norm))
@@ -182,7 +186,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
                 skip = sum(map(bit, coset))
                 for p, power in power_maps:
                     if mask >> power[g] & 1:
-                        ext = elems + coset
+                        ext = coset  # K outside H, listed only if K is new
                         x = g
                         for _ in range(p - 2):
                             x = step[x]
@@ -190,7 +194,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
                             ext += coset
                             skip |= sum(map(bit, coset))
                         if skip | mask not in found:
-                            register(skip | mask, ext, gens + (g,))
+                            register(skip | mask, elems + ext, gens + (g,))
                         break
                 rest &= ~skip
             rest = full ^ norm if general else 0  # G outside N(H)

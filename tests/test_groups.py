@@ -16,6 +16,7 @@ from normdeg.groups import (
     Constructor,
     GroupTable,
     Product,
+    _build_raw,
     _check_zm,
     _table_sym,
     build,
@@ -432,17 +433,38 @@ def _tables_with_identity(n):
                                   for x in range(1, n)]
 
 
-def _metacyclic_reference(m, k, r):
+def _metacyclic_rule(m, k, r):
     # x^i y^a has id a*m + i. y^-1 x y = x^r gives y x y^-1 = x^s with
-    # s = r^-1 mod m, so x^i1 y^a1 x^i2 y^a2 = x^(i1 + i2 s^a1) y^(a1 + a2);
-    # each (a1, a2) block applies that rule to every (i1, i2)
-    s = pow(r, -1, m)
-    i = np.arange(m)
-    mul = np.empty((k * m, k * m), dtype=np.int64)
-    for a1, a2 in product(range(k), repeat=2):
-        mul[a1 * m:(a1 + 1) * m, a2 * m:(a2 + 1) * m] = (
-            (i[:, None] + i[None, :] * pow(s, a1, m)) % m + (a1 + a2) % k * m)
-    return mul
+    # s = r^-1 mod m, so x^i1 y^a1 x^i2 y^a2 = x^(i1 + i2 s^a1) y^(a1 + a2)
+    s_pow = np.array([pow(pow(r, -1, m), a, m) for a in range(k)], dtype=np.int64)
+
+    def rule(x, y):
+        (a1, i1), (a2, i2) = divmod(x, m), divmod(y, m)
+        return (i1 + i2 * s_pow[a1]) % m + (a1 + a2) % k * m
+
+    return rule
+
+
+def _quaternion_rule(n):
+    # x^i y^a has id a*m + i for m = 2^(n-1). y x y^-1 = x^-1 and y^2 = x^h
+    # with h = m/2, so x^i1 y^a1 x^i2 y^a2 = x^(i1 + (-1)^a1 i2 + h a1 a2) y^(a1 xor a2)
+    m, h = 1 << (n - 1), 1 << (n - 2)
+
+    def rule(x, y):
+        (a1, i1), (a2, i2) = divmod(x, m), divmod(y, m)
+        return (i1 + (1 - 2 * a1) * i2 + h * a1 * a2) % m + (a1 ^ a2) * m
+
+    return rule
+
+
+def _assert_table_follows(table, rule, block=256):
+    """table[x, y] == rule(x, y) on int64 ids, compared a block of rows at a time."""
+    n = len(table)
+    assert table.shape == (n, n)
+    y = np.arange(n, dtype=np.int64)
+    for lo in range(0, n, block):
+        x = np.arange(lo, min(lo + block, n), dtype=np.int64)[:, None]
+        assert np.array_equal(table[lo:lo + block], rule(x, y)), lo
 
 
 class TestBuilders:
@@ -451,10 +473,38 @@ class TestBuilders:
         for m, k in product(range(1, 41), range(1, 13)):
             for r in range(m):
                 if gcd(r, m) == 1 and pow(r, k, m) == 1 % m:
-                    assert np.array_equal(metacyclic_table(m, k, r),
-                                          _metacyclic_reference(m, k, r)), (m, k, r)
+                    _assert_table_follows(metacyclic_table(m, k, r), _metacyclic_rule(m, k, r))
                     checked += 1
         assert checked > 1000
+
+    # order 4096, the build ceiling, where ids and the sums inside the
+    # builders come closest to int16's range: every family that reaches
+    # it, the quaternion group and a product. Dih(2047) has an odd m, so a
+    # product wrapped mod 2^16 would not come out right mod m
+    @pytest.mark.parametrize("spec, rule", [
+        ("C(4096)", lambda x, y: (x + y) % 4096),
+        ("Dih(2048)", _metacyclic_rule(2048, 2, 2047)),
+        ("Dih(2047)", _metacyclic_rule(2047, 2, 2046)),
+        ("SD(12)", _metacyclic_rule(2048, 2, 1023)),
+        ("M(2,12)", _metacyclic_rule(2048, 2, 1025)),
+        ("EA(2,12)", np.bitwise_xor),
+        ("Q(12)", _quaternion_rule(12)),
+        ("C(64) x C(64)", lambda x, y: (x // 64 + y // 64) % 64 * 64 + (x + y) % 64),
+    ])
+    def test_int16_tables_at_the_ceiling_match_int64_references(self, spec, rule):
+        table = _build_raw(parse_spec(spec))
+        assert table.dtype == np.int16
+        _assert_table_follows(table, rule)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_quaternion_matches_the_product_rule(self, n):
+        _assert_table_follows(_build_raw(parse_spec(f"Q({n})")), _quaternion_rule(n))
+
+    def test_metacyclic_refuses_orders_past_the_build_ceiling(self):
+        # its int16 arithmetic is safe up to MAX_BUILD_ORDER only
+        assert 2049 * 2 > MAX_BUILD_ORDER
+        with pytest.raises(ConstraintError, match="build ceiling"):
+            metacyclic_table(2049, 2, 2048)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sym_matches_composition(self, n):

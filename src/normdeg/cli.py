@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import contextmanager
 from time import perf_counter
 
 from . import explorer
@@ -50,6 +51,15 @@ def _emit(row: list[str]) -> None:
     sys.stdout.write("\t".join(row) + "\n")
 
 
+@contextmanager
+def _printable(hint: str):
+    """Report Python's integer-to-string digit limit as a constraint violation."""
+    try:
+        yield
+    except ValueError:
+        raise ConstraintError("exact value too long to print", hint) from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -81,13 +91,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
         spec=text, order=spec.order(), lattice_size=total, normal_count=normal,
         sd=sd, method=method,
         elapsed_ms=int((perf_counter() - start) * 1000))
-    header = ["spec", "order", "lattice_size", "normal_count", "ndeg", "sd",
-              "method", "elapsed_ms"]
-    _emit(header)
-    _emit([report.spec, str(report.order), str(report.lattice_size),
-           str(report.normal_count), format_ratio(report.ndeg),
-           format_ratio(report.sd) if report.sd is not None else "-",
-           report.method, str(report.elapsed_ms)])
+    with _printable("use a spec of smaller order"):
+        row = [report.spec, str(report.order), str(report.lattice_size),
+               str(report.normal_count), format_ratio(report.ndeg),
+               format_ratio(report.sd) if report.sd is not None else "-",
+               report.method, str(report.elapsed_ms)]
+    _emit(["spec", "order", "lattice_size", "normal_count", "ndeg", "sd",
+           "method", "elapsed_ms"])
+    _emit(row)
     if args.ledger:
         try:
             explorer.ledger_append(args.ledger, report)
@@ -138,12 +149,9 @@ def cmd_density(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad target {args.target!r}: {exc}", 0)
     steps = explorer.density_sequence(target, steps=args.steps)
-    try:
+    with _printable("use a target a/b with a smaller b - a"):
         rows = [[str(s.index), " x ".join(s.factor_specs), format_ratio(s.ndeg),
                  format_ratio(s.target), format_ratio(s.gap)] for s in steps]
-    except ValueError:  # Python's integer-to-string digit limit
-        raise ConstraintError("exact degree too long to print",
-                              "use a target a/b with a smaller b - a")
     _emit(["step", "group", "ndeg", "target", "gap"])
     for row in rows:
         _emit(row)

@@ -149,15 +149,6 @@ def sd_brute(
     return Fraction(k * (k - m) + int(hits @ [len(cls) for cls in multi]), k * k)
 
 
-def is_dedekind(
-    G: GroupTable,
-    lattice: SubgroupLattice | None = None,
-) -> bool:
-    """True when every subgroup is normal."""
-    lat = lattice if lattice is not None else enumerate_subgroups(G)
-    return lat.normal_count == len(lat)
-
-
 def pgroup_bound_check(
     G: GroupTable,
     lattice: SubgroupLattice | None = None,

@@ -63,11 +63,6 @@ class Product:
 GroupSpec = Constructor | Product
 
 
-def render(spec: GroupSpec) -> str:
-    """Canonical string form; parse(render(s)) round-trips."""
-    return spec.render()
-
-
 # ---------------------------------------------------------------------------
 # parameter constraints: each check returns the first violated
 # (constraint, detail) pair, or None, so filters over many candidate tuples
@@ -388,7 +383,7 @@ class GroupTable:
     only for the rows it reads.
     """
 
-    __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_fingerprint", "_generators")
+    __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_generators")
 
     def __init__(self, mul, spec_text=None):
         mul = np.ascontiguousarray(mul)
@@ -406,7 +401,6 @@ class GroupTable:
         self.inv = self.mul.argmin(axis=1).astype(dtype)  # a right inverse, if the row has 0
         self.spec_text = spec_text
         self._rows = None
-        self._fingerprint = None
         self._generators = None
         self.validate()
         self.mul.flags.writeable = False
@@ -443,17 +437,6 @@ class GroupTable:
             if not np.array_equal(mul.take(mul[:, g], axis=0), mul.take(mul[g], axis=1)):
                 raise ValueError("associativity fails")
 
-    @property
-    def fingerprint(self) -> dict[int, int]:
-        """Histogram {element order: count}; a cheap isomorphism surrogate."""
-        if self._fingerprint is None:
-            hist: dict[int, int] = {}
-            for x in range(self.order):
-                d = element_order(self, x)
-                hist[d] = hist.get(d, 0) + 1
-            self._fingerprint = hist
-        return dict(self._fingerprint)
-
     def generators(self) -> list[int]:
         """A small generating set found greedily; identity-only group gives []."""
         if self._generators is None:
@@ -472,12 +455,10 @@ class GroupTable:
         return f"GroupTable({tag}, order={self.order})"
 
 
-def closure(rows: dict[int, list[int]], gens, limit: int | None = None) -> tuple[int, int] | None:
+def closure(rows: dict[int, list[int]], gens) -> tuple[int, int]:
     """(bitmask, size) of the subgroup generated by gens, by breadth-first search.
 
-    Steps x -> g*x, so only rows[g] for g in gens is read. Returns None as
-    soon as the subgroup has more than `limit` elements; `limit=None` sets
-    no bound.
+    Steps x -> g*x, so only rows[g] for g in gens is read.
     """
     steps = [rows[g] for g in gens]
     mask = 1
@@ -488,14 +469,7 @@ def closure(rows: dict[int, list[int]], gens, limit: int | None = None) -> tuple
             if not mask >> b & 1:
                 mask |= 1 << b
                 elems.append(b)
-                if limit is not None and len(elems) > limit:
-                    return None
     return mask, len(elems)
-
-
-def element_order(G: GroupTable, x: int) -> int:
-    """Multiplicative order of element x: the size of the cyclic subgroup it generates."""
-    return closure(G.rows, [x])[1]
 
 
 def build(spec: GroupSpec | str) -> GroupTable:
@@ -503,7 +477,7 @@ def build(spec: GroupSpec | str) -> GroupTable:
     if isinstance(spec, str):
         spec = parse_spec(spec)
     _check_build_order(spec.order())
-    return GroupTable(_build_raw(spec), spec_text=render(spec))
+    return GroupTable(_build_raw(spec), spec_text=spec.render())
 
 
 def _build_raw(spec: GroupSpec) -> np.ndarray:

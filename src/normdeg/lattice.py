@@ -34,9 +34,6 @@ class SubgroupSet:
     mask: int
     size: int
 
-    def __contains__(self, element: int) -> bool:
-        return bool(self.mask >> element & 1)
-
     def elements(self) -> list[int]:
         return _mask_elements(self.mask)
 
@@ -62,12 +59,12 @@ def _conjugation_perms(G: GroupTable) -> list[list[int]]:
     return [perm.tolist() for perm in perms if not np.array_equal(perm, identity)]
 
 
-def _conjugates(elems: list[int], perms: list[list[int]], bit, size: int = 0) -> set[int]:
-    """Masks of every conjugate of the subgroup with these elements; a caller
-    that knows the class size |G : N(H)| passes it, and the walk stops there."""
+def _conjugates(elems: list[int], perms: list[list[int]], bit, size: int) -> set[int]:
+    """Masks of the `size` = |G : N(H)| conjugates of the subgroup H with
+    these elements; the walk stops once it holds them all."""
     seen = {sum(map(bit, elems))}
     frontier = [elems]
-    while frontier and len(seen) != size:
+    while len(seen) != size:
         es = frontier.pop()
         for perm in perms:
             ces = list(map(perm.__getitem__, es))
@@ -86,8 +83,7 @@ class SubgroupLattice:
     sorted, orbits ordered by their smallest index (the representative).
     """
 
-    def __init__(self, group: GroupTable, subgroups: list[SubgroupSet], classes: list[tuple[int, ...]]):
-        self.group = group
+    def __init__(self, subgroups: list[SubgroupSet], classes: list[tuple[int, ...]]):
         self.subgroups = subgroups
         self.classes = classes
         self.normal_flags = [False] * len(subgroups)
@@ -213,12 +209,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
     position = {m: i for i, m in enumerate(masks)}
     classes = sorted(tuple(sorted(position[m] for m in orbit)) for orbit in orbits)
     subgroups = [SubgroupSet(m, m.bit_count()) for m in masks]
-    return SubgroupLattice(G, subgroups, classes)
-
-
-def is_normal(G: GroupTable, H: SubgroupSet) -> bool:
-    """True when the conjugacy class of H has H as its only member."""
-    return len(_conjugates(H.elements(), _conjugation_perms(G), _bit(G.order))) == 1
+    return SubgroupLattice(subgroups, classes)
 
 
 def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
@@ -229,30 +220,3 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     flags = in_h[conj].all(axis=1)
     return SubgroupSet(_mask_of(flags), int(flags.sum()))
 
-
-def core(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
-    """Intersection of all conjugates of H: the largest normal subgroup inside H."""
-    acc = H.mask
-    for m in _conjugates(H.elements(), _conjugation_perms(G), _bit(G.order)):
-        acc &= m
-    return SubgroupSet(acc, acc.bit_count())
-
-
-def fix_points(G: GroupTable, lattice: SubgroupLattice) -> tuple[set[int], set[int]]:
-    """Indices fixed by conjugation (singleton orbits) and by the core map.
-
-    Both sets coincide with the normal subgroups; the two are computed
-    through different routes so the equality stays a real check.
-    """
-    fix_conj = {cls[0] for cls in lattice.classes if len(cls) == 1}
-    fix_core = {i for i, s in enumerate(lattice.subgroups) if core(G, s).mask == s.mask}
-    return fix_conj, fix_core
-
-
-def subgroup_table(G: GroupTable, H: SubgroupSet) -> GroupTable:
-    """Standalone multiplication table of a subgroup, reindexed from 0."""
-    elems = H.elements()
-    local = {e: i for i, e in enumerate(elems)}
-    rows = G.rows
-    table = [[local[rows[a][b]] for b in elems] for a in elems]
-    return GroupTable(table)

@@ -36,7 +36,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -58,29 +58,29 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    """Return a nontrivial factor of composite odd n."""
+    """Return a nontrivial factor of composite odd n (Brent, BIT 20, 1980)."""
     if n % 2 == 0:
         return 2
+    m = 128  # steps per gcd
     c = 1
     while True:
-        x = 2
         y = 2
+        r = 1
         d = 1
         q = 1
-        ys = x
-        m = 128
         while d == 1:
             x = y
-            for _ in range(m):
+            for _ in range(r):
                 y = (y * y + c) % n
             k = 0
-            while k < m and d == 1:
+            while k < r and d == 1:
                 ys = y
-                for _ in range(min(m, m - k)):
+                for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 k += m
                 d = math.gcd(q, n)
+            r *= 2  # the lag doubles each round, so cycles of any length are met
         if d == n:
             # backtrack one step at a time
             d = 1

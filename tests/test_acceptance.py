@@ -21,7 +21,6 @@ from math import gcd
 import pytest
 
 from normdeg.degrees import (
-    is_dedekind,
     ndeg_brute,
     ndeg_conjugacy,
     ndeg_coprime_product,
@@ -37,7 +36,7 @@ from normdeg.formulas import (
     semidirect_bounds,
 )
 from normdeg.groups import build
-from normdeg.lattice import enumerate_subgroups, fix_points
+from normdeg.lattice import enumerate_subgroups, normalizer
 from normdeg.numtheory import factorize
 
 
@@ -140,14 +139,15 @@ def test_acceptance_3_structural_invariants():
         G = build(spec)
         lat = enumerate_subgroups(G, cap=1024)
         normal = {i for i, flag in enumerate(lat.normal_flags) if flag}
-        fix_conj, fix_core = fix_points(G, lat)
-        if not (fix_conj == fix_core == normal):
+        fix_conj = {cls[0] for cls in lat.classes if len(cls) == 1}
+        fix_norm = {i for i, s in enumerate(lat.subgroups) if normalizer(G, s).size == G.order}
+        if not (fix_conj == fix_norm == normal):
             problems.append((spec, "fixed-point sets differ"))
         nd = ndeg_brute(G, lattice=lat).ndeg
         if ndeg_conjugacy(G, lattice=lat).ndeg != nd:
             problems.append((spec, "conjugacy route disagrees"))
         sd = sd_brute(G, lattice=lat)
-        dedekind = is_dedekind(G, lattice=lat)
+        dedekind = lat.normal_count == len(lat)
         if not nd <= sd:
             problems.append((spec, "ndeg exceeds sd"))
         if not ((nd == sd) == dedekind == (nd == 1)):

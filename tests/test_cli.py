@@ -154,6 +154,17 @@ class TestCompute:
         code, _, _ = run_cli(capsys, "compute", "--spec", "SDP(4,7,2)")
         assert code == EXIT_CONSTRAINT
 
+    def test_order_past_the_digit_limit_is_a_constraint_error(self, capsys, tmp_path):
+        # 2^100000 has more digits than Python converts to a string
+        path = tmp_path / "runs.jsonl"
+        code, out, err = run_cli(capsys, "compute", "--spec", "M(2,100000)",
+                                 "--ledger", str(path))
+        assert code == EXIT_CONSTRAINT
+        assert out == ""
+        assert err.startswith("constraint violation: ")
+        assert len(err.splitlines()) == 1
+        assert not path.exists()
+
     @pytest.mark.parametrize("argv", [
         ("--method", "brute"), ("--method", "formula", "--sd"),
     ])

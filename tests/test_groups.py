@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations, product
 from math import gcd
 
@@ -22,12 +23,15 @@ from normdeg.groups import (
     build,
     check_params,
     closure,
-    element_order,
     family_params,
     metacyclic_table,
     parse_spec,
-    render,
 )
+
+
+def fingerprint(G) -> Counter:
+    """Histogram {element order: count}, each order the size of <x>."""
+    return Counter(closure(G.rows, [x])[1] for x in range(G.order))
 
 
 class TestParsing:
@@ -44,12 +48,12 @@ class TestParsing:
         assert spec.render() == "C(2) x C(3) x C(5)"
 
     def test_whitespace_tolerated(self):
-        assert render(parse_spec("  SDP( 3 , 7 , 2 ) ")) == "SDP(3,7,2)"
+        assert parse_spec("  SDP( 3 , 7 , 2 ) ").render() == "SDP(3,7,2)"
 
     def test_round_trip(self):
         for text in ["C(12)", "Sym(4)", "EA(3,2)", "ZM(5,4,2)",
                      "Q(3) x C(3)", "M(2,4) x Sym(3) x C(5)"]:
-            assert render(parse_spec(text)) == text
+            assert parse_spec(text).render() == text
 
     @pytest.mark.parametrize("bad, position", [
         ("", 0),
@@ -80,7 +84,7 @@ class TestParsing:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_products(self, parts):
         text = " x ".join(parts)
-        assert render(parse_spec(text)) == text
+        assert parse_spec(text).render() == text
 
 
 class TestConstraints:
@@ -177,14 +181,14 @@ class TestTables:
 
     def test_fingerprint_cyclic(self):
         # element orders of C(12) follow the divisor count phi(d)
-        fp = build("C(12)").fingerprint
+        fp = fingerprint(build("C(12)"))
         assert fp == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
 
     def test_fingerprint_dihedral_powers_of_two(self):
         # Dih(2^k) has 2^k + 1 involutions and phi(d) rotations of order d
         for k in (2, 3, 4, 5):
             n = 2 ** k
-            fp = build(f"Dih({n})").fingerprint
+            fp = fingerprint(build(f"Dih({n})"))
             expect = {1: 1, 2: n + 1}
             d = 4
             while d <= n:
@@ -194,15 +198,10 @@ class TestTables:
 
     def test_quaternion_single_involution(self):
         for n in (3, 4, 5):
-            assert build(f"Q({n})").fingerprint[2] == 1
+            assert fingerprint(build(f"Q({n})"))[2] == 1
 
     def test_element_order_against_fingerprint(self):
-        G = build("Sym(4)")
-        counted: dict[int, int] = {}
-        for x in range(G.order):
-            o = element_order(G, x)
-            counted[o] = counted.get(o, 0) + 1
-        assert counted == {1: 1, 2: 9, 3: 8, 4: 6}
+        assert fingerprint(build("Sym(4)")) == {1: 1, 2: 9, 3: 8, 4: 6}
 
     def test_abelian_detection(self):
         # a group is abelian exactly when its table is symmetric
@@ -216,13 +215,13 @@ class TestTables:
         # fingerprints and subgroup profiles downstream; here the orders
         # of elements must agree exactly for m odd
         for m in (3, 5, 7, 9, 15):
-            zm = build(f"ZM({m},2,{m - 1})").fingerprint
-            dih = build(f"Dih({m})").fingerprint
+            zm = fingerprint(build(f"ZM({m},2,{m - 1})"))
+            dih = fingerprint(build(f"Dih({m})"))
             assert zm == dih
 
     def test_sdp_dihedral_instance(self):
         # p = 2, k0 = n - 1 realizes the dihedral relation
-        assert build("SDP(2,9,8)").fingerprint == build("Dih(9)").fingerprint
+        assert fingerprint(build("SDP(2,9,8)")) == fingerprint(build("Dih(9)"))
 
     def test_modular_group_relation(self):
         # y^-1 x y = x^(p^(n-2)+1) with x of order p^(n-1); x^i y^a has id a*9 + i
@@ -252,13 +251,6 @@ class TestTables:
                             nxt.append(y)
                 frontier = nxt
             assert len(seen) == G.order
-
-    def test_closure_stops_past_the_limit(self):
-        G = build("Dih(6)")
-        assert closure(G.rows, [1]) == (0b111111, 6)
-        assert closure(G.rows, [1], limit=6) == (0b111111, 6)
-        assert closure(G.rows, [1], limit=5) is None
-        assert closure(G.rows, []) == (1, 1)
 
     def test_product_element_ids(self):
         # (a, b) in C(2) x C(3) has id 3a + b, multiplied componentwise

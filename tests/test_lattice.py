@@ -30,12 +30,8 @@ from normdeg.lattice import (
     SubgroupSet,
     _canonical_key,
     _conjugation_perms,
-    core,
     enumerate_subgroups,
-    fix_points,
-    is_normal,
     normalizer,
-    subgroup_table,
 )
 from normdeg.numtheory import divisors
 
@@ -77,6 +73,12 @@ def conjugate_masks(G, mask: int) -> list[int]:
     rows, inv = G.rows, G.inv.tolist()
     elems = [e for e in range(G.order) if mask >> e & 1]
     return [sum(1 << rows[rows[g][h]][inv[g]] for h in elems) for g in range(G.order)]
+
+
+def class_core(lat, size: int) -> int:
+    """Mask of the intersection of the one class of subgroups of this size."""
+    cls = next(c for c in lat.classes if lat.subgroups[c[0]].size == size)
+    return reduce(and_, (lat.subgroups[i].mask for i in cls))
 
 
 def lattice_by_closure(G) -> tuple[list[int], set[frozenset[int]]]:
@@ -294,23 +296,27 @@ class TestConjugationPerms:
         assert central and kept
         assert _conjugation_perms(G) == [[rows[rows[g][h]][inv[g]] for h in range(n)] for g in kept]
 
-    # is_normal and core read the orbit under the kept perms; check both
-    # against conjugation by every element of G
+    # the normal flags and the classes come from orbits under the kept
+    # perms only; check each flag, and each core as the AND of its class's
+    # masks, against conjugation by every element of G
     @pytest.mark.parametrize("spec", ["Dih(4) x C(2)", "EA(2,4)", "Sym(4)", "Q(3) x C(3)"])
     def test_is_normal_and_core_by_definition(self, spec):
         G = build(spec)
-        for s in enumerate_subgroups(G).subgroups:
-            conjugates = conjugate_masks(G, s.mask)
-            assert is_normal(G, s) == (set(conjugates) == {s.mask})
-            assert core(G, s).mask == reduce(and_, conjugates)
+        lat = enumerate_subgroups(G)
+        for cls in lat.classes:
+            core = reduce(and_, (lat.subgroups[i].mask for i in cls))
+            for i in cls:
+                conjugates = conjugate_masks(G, lat.subgroups[i].mask)
+                assert lat.normal_flags[i] == (set(conjugates) == {lat.subgroups[i].mask})
+                assert core == reduce(and_, conjugates)
 
 
 class TestGeneratedSubgroup:
     def test_cyclic_part_of_dihedral(self):
         G = build("Dih(6)")
         rot = SubgroupSet(*closure(G.rows, [1]))
-        assert rot.size == 6
-        assert is_normal(G, rot)
+        assert (rot.mask, rot.size) == (0b111111, 6)
+        assert normalizer(G, rot).size == G.order
 
     def test_empty_seed_gives_trivial(self):
         G = build("Sym(3)")
@@ -325,25 +331,21 @@ class TestNormalityStructure:
     def test_normalizer_of_reflection_in_dihedral8(self):
         G = build("Dih(4)")
         lat = enumerate_subgroups(G)
-        refl = next(s for s in lat.subgroups
-                    if s.size == 2 and not is_normal(G, s))
+        refl = next(s for s, normal in zip(lat.subgroups, lat.normal_flags)
+                    if s.size == 2 and not normal)
         norm = normalizer(G, refl)
         assert norm.size == 4
         assert refl.mask & norm.mask == refl.mask
 
     def test_core_of_sylow2_in_sym4(self):
-        G = build("Sym(4)")
-        lat = enumerate_subgroups(G)
-        sylow = next(s for s in lat.subgroups if s.size == 8)
-        c = core(G, sylow)
-        assert c.size == 4  # the doubly-even permutations survive
-        assert is_normal(G, c)
+        lat = enumerate_subgroups(build("Sym(4)"))
+        c = class_core(lat, 8)
+        assert c.bit_count() == 4  # the doubly-even permutations survive
+        assert lat.normal_flags[[s.mask for s in lat.subgroups].index(c)]
 
     def test_core_of_point_stabilizer_is_trivial(self):
-        G = build("Sym(4)")
-        lat = enumerate_subgroups(G)
-        stab = next(s for s in lat.subgroups if s.size == 6)
-        assert core(G, stab).size == 1
+        lat = enumerate_subgroups(build("Sym(4)"))
+        assert class_core(lat, 6) == 1
 
     def test_normalizer_index_is_class_size(self):
         G = build("Sym(4)")
@@ -363,9 +365,10 @@ class TestNormalityStructure:
         for spec in ("Sym(4)", "Dih(6)", "Q(4)", "SDP(3,7,2)", "ZM(5,4,2)"):
             G = build(spec)
             lat = enumerate_subgroups(G)
-            fix_conj, fix_core = fix_points(G, lat)
+            fix_conj = {cls[0] for cls in lat.classes if len(cls) == 1}
+            fix_norm = {i for i, s in enumerate(lat.subgroups) if normalizer(G, s).size == G.order}
             normal = {i for i, flag in enumerate(lat.normal_flags) if flag}
-            assert fix_conj == fix_core == normal
+            assert fix_conj == fix_norm == normal
 
 
 class TestSemidirectNormalizers:
@@ -397,31 +400,3 @@ class TestSemidirectNormalizers:
             d = math.gcd(k0 - 1, n)
             sylows = [s for s in lat.subgroups if s.size == p]
             assert len(sylows) == n // d
-
-
-class TestSubgroupTable:
-    def test_conjugate_subgroups_share_degree_profile(self):
-        from normdeg.degrees import ndeg_brute
-
-        G = build("Sym(4)")
-        lat = enumerate_subgroups(G)
-        cls = next(c for c in lat.classes
-                   if len(c) > 1 and lat.subgroups[c[0]].size == 8)
-        reports = []
-        for idx in cls:
-            H = subgroup_table(G, lat.subgroups[idx])
-            reports.append(ndeg_brute(H).ndeg)
-        assert len(set(reports)) == 1
-
-    def test_reindexed_table_is_valid_group(self):
-        G = build("Dih(6)")
-        lat = enumerate_subgroups(G)
-        six = next(s for s in lat.subgroups if s.size == 6)
-        H = subgroup_table(G, six)
-        assert H.order == 6
-        assert list(H.mul[0]) == list(range(6))
-
-    def test_subgroupset_membership(self):
-        s = SubgroupSet(mask=0b1011, size=3)
-        assert 0 in s and 1 in s and 3 in s and 2 not in s
-        assert list(s.elements()) == [0, 1, 3]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from normdeg.errors import SieveExhaustedError
 from normdeg.numtheory import (
+    _pollard_brent,
     divisors,
     factorize,
     format_ratio,
@@ -64,6 +65,14 @@ class TestFactorize:
 
     def test_large_semiprime(self):
         p, q = 1_000_003, 998_244_353
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+
+    # Pollard-Brent meets these only by doubling its lag each round: their
+    # rho cycles are far longer than one batch of 128 steps
+    @pytest.mark.parametrize("p, q", [(10000019, 10000079), (1000000007, 1000000009)])
+    def test_semiprimes_past_trial_division(self, p, q):
+        assert sympy.isprime(p) and sympy.isprime(q)
+        assert _pollard_brent(p * q) in (p, q)
         assert factorize(p * q) == [(p, 1), (q, 1)]
 
     def test_rejects_nonpositive(self):

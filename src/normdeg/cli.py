@@ -19,7 +19,7 @@ from .errors import (CapExceededError, ConstraintError, SieveExhaustedError,
                      SpecParseError)
 from .formulas import Family, formula_counts
 from .groups import build, parse_spec
-from .lattice import DEFAULT_CAP, enumerate_subgroups
+from .lattice import enumerate_subgroups
 from .numtheory import format_ratio, parse_ratio
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if spec.order() > args.cap:  # before the table is materialised
             raise CapExceededError(spec.order(), args.cap)
         table = build(spec)
-        lattice = enumerate_subgroups(table, cap=args.cap)
+        lattice = enumerate_subgroups(table)
         if method != "formula":
             route = ndeg_brute if method == "brute" else ndeg_conjugacy
             found = route(table, spec_text=text, lattice=lattice)
@@ -219,14 +219,14 @@ def build_parser() -> _Parser:
     p.add_argument("--sd", action="store_true",
                    help="also compute the subgroup commutativity degree")
     p.add_argument("--ledger", help="append the result to this JSONL file")
-    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CAP,
+    p.add_argument("--cap", type=_nonnegative_int, default=explorer.DEFAULT_CAP,
                    help="enumeration cap on the group order")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="closed forms against brute force")
     p.add_argument("--family", required=True, choices=explorer.VERIFY_FAMILIES)
     p.add_argument("--range", help="override ranges, e.g. 'p=2..3,n=3..20'")
-    p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_nonnegative_int, default=explorer.DEFAULT_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("density", help="group sequence approaching a target")

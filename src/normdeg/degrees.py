@@ -5,6 +5,8 @@ brute force over the full lattice, the conjugacy-class route via
 normalizer indices, and (for coprime direct products) multiplicativity.
 sd has one route, `sd_brute`: two float32 products over the 0/1 subgroup
 membership matrix test each non-normal class against every subgroup.
+Every route but the coprime product reads a lattice its caller enumerated,
+so one lattice serves them all.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ConstraintError
 from .groups import GroupTable
-from .lattice import SubgroupLattice, enumerate_subgroups, normalizer
+from .lattice import SubgroupLattice, normalizer
 from .numtheory import factorize, format_ratio
 
 METHODS = ("brute", "conjugacy", "formula", "product")
@@ -64,7 +66,7 @@ class DegreeReport:
 def _route_report(G: GroupTable, spec_text: str | None, total: int, normal: int,
                   method: str) -> DegreeReport:
     return DegreeReport(
-        spec=spec_text or G.spec_text or f"<order {G.order}>",
+        spec=spec_text or f"<order {G.order}>",
         order=G.order,
         lattice_size=total,
         normal_count=normal,
@@ -72,36 +74,28 @@ def _route_report(G: GroupTable, spec_text: str | None, total: int, normal: int,
     )
 
 
-def ndeg_brute(
-    G: GroupTable,
-    spec_text: str | None = None,
-    lattice: SubgroupLattice | None = None,
-) -> DegreeReport:
-    """Normal-subgroup count over subgroup count from the full lattice."""
-    lat = lattice if lattice is not None else enumerate_subgroups(G)
-    return _route_report(G, spec_text, len(lat), lat.normal_count, "brute")
+def ndeg_brute(G: GroupTable, lattice: SubgroupLattice,
+               spec_text: str | None = None) -> DegreeReport:
+    """Normal-subgroup count over subgroup count from G's full lattice.
+
+    The report names the group `spec_text`, or `<order n>` without one.
+    """
+    return _route_report(G, spec_text, len(lattice), lattice.normal_count, "brute")
 
 
-def ndeg_conjugacy(
-    G: GroupTable,
-    spec_text: str | None = None,
-    lattice: SubgroupLattice | None = None,
-) -> DegreeReport:
+def ndeg_conjugacy(G: GroupTable, lattice: SubgroupLattice,
+                   spec_text: str | None = None) -> DegreeReport:
     """Same value through class representatives and normalizer indices."""
-    lat = lattice if lattice is not None else enumerate_subgroups(G)
-    normal = lat.normal_count
+    normal = lattice.normal_count
     denom = normal
-    for cls in lat.classes:
+    for cls in lattice.classes:
         if len(cls) > 1:
-            rep = lat.subgroups[cls[0]]
+            rep = lattice.subgroups[cls[0]]
             denom += G.order // normalizer(G, rep).size
     return _route_report(G, spec_text, denom, normal, "conjugacy")
 
 
-def sd_brute(
-    G: GroupTable,
-    lattice: SubgroupLattice | None = None,
-) -> Fraction:
+def sd_brute(G: GroupTable, lattice: SubgroupLattice) -> Fraction:
     """Fraction of ordered subgroup pairs (H, K) whose product set is a subgroup.
 
     HK has |H||K|/|H meet K| elements and lies in <H, K>, so it is a subgroup
@@ -121,13 +115,12 @@ def sd_brute(
     least |S : K| over the S above H and K is |<H, K> : K|. Every value is
     an integer of at most n < 2^24 (any table in memory): exact in float32.
     """
-    lat = lattice if lattice is not None else enumerate_subgroups(G)
-    k, m = len(lat), len(lat) - lat.normal_count
+    k, m = len(lattice), len(lattice) - lattice.normal_count
     if not m:
         return Fraction(1)
     width = (G.order + 7) // 8
-    packed = np.frombuffer(b"".join([s.mask.to_bytes(width, "little") for s in lat.subgroups]),
-                           np.uint8).reshape(k, width)
+    packed = np.frombuffer(b"".join([s.mask.to_bytes(width, "little")
+                                     for s in lattice.subgroups]), np.uint8).reshape(k, width)
     rows = np.unpackbits(packed, axis=1, count=G.order, bitorder="little")  # M, as uint8
     step = max(1, (1 << 20) // G.order)  # 4 MB float32 blocks of M
 
@@ -136,8 +129,8 @@ def sd_brute(
         return np.concatenate([left @ rows[i:i + step].astype(np.float32).T
                                for i in range(0, k, step)], axis=1)
 
-    sizes = np.array([s.size for s in lat.subgroups], np.float32)
-    multi = [cls for cls in lat.classes if len(cls) > 1]
+    sizes = np.array([s.size for s in lattice.subgroups], np.float32)
+    multi = [cls for cls in lattice.classes if len(cls) > 1]
     reps = [cls[0] for cls in multi]
     size_h = sizes[reps, None]
     meet = meets(reps)
@@ -149,10 +142,7 @@ def sd_brute(
     return Fraction(k * (k - m) + int(hits @ [len(cls) for cls in multi]), k * k)
 
 
-def pgroup_bound_check(
-    G: GroupTable,
-    lattice: SubgroupLattice | None = None,
-) -> tuple[Fraction, bool]:
+def pgroup_bound_check(G: GroupTable, lattice: SubgroupLattice) -> tuple[Fraction, bool]:
     """Upper bound |N|/(|N| + p*s) for p-groups, and whether ndeg meets it.
 
     s counts conjugacy classes with at least two members; each such orbit
@@ -164,11 +154,10 @@ def pgroup_bound_check(
             "p-group bound needs a p-group", f"order {G.order} is not a prime power"
         )
     p = fac[0][0]
-    lat = lattice if lattice is not None else enumerate_subgroups(G)
-    normal = lat.normal_count
-    multi = sum(1 for cls in lat.classes if len(cls) > 1)
+    normal = lattice.normal_count
+    multi = sum(1 for cls in lattice.classes if len(cls) > 1)
     bound = Fraction(normal, normal + p * multi)
-    ndeg = Fraction(normal, len(lat))
+    ndeg = Fraction(normal, len(lattice))
     return bound, ndeg <= bound
 
 

@@ -31,7 +31,11 @@ class CapExceededError(NormdegError):
     """Raised when a group is too large for subgroup enumeration."""
 
     def __init__(self, order: int, cap: int):
-        super().__init__(f"group order {order} exceeds enumeration cap {cap}")
+        try:
+            text = str(order)
+        except ValueError:  # past Python's integer-string digit limit
+            text = f"of {order.bit_length()} bits"
+        super().__init__(f"group order {text} exceeds enumeration cap {cap}")
         self.order = order
         self.cap = cap
 

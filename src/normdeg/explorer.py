@@ -26,8 +26,10 @@ from .errors import ConstraintError
 from .formulas import (Family, family_limit, family_member, formula_counts,
                        ndeg_family)
 from .groups import Constructor, GroupSpec, Product, build, family_params
-from .lattice import DEFAULT_CAP, enumerate_subgroups
+from .lattice import enumerate_subgroups
 from .numtheory import nth_primes
+
+DEFAULT_CAP = 512  # largest group order the commands enumerate unless told otherwise
 
 # ---------------------------------------------------------------------------
 # sequences approaching a rational target
@@ -128,12 +130,12 @@ def catalog_specs(order_cap: int) -> list[tuple[str, int]]:
 
 def catalog_ndeg(spec: str) -> Fraction:
     """Normality degree of a catalog entry: closed form when backed, else brute
-    force with no enumeration cap (the catalog's order cap bounds the work)."""
+    force (the catalog's order cap bounds the work)."""
     counts = formula_counts(spec)
     if counts is not None:
         return Fraction(counts[1], counts[0])
     G = build(spec)
-    return ndeg_brute(G, lattice=enumerate_subgroups(G, cap=G.order)).ndeg
+    return ndeg_brute(G, enumerate_subgroups(G)).ndeg
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,7 @@ def verify_grid(family: str, ranges: dict[str, tuple[int, int]] | None = None,
         if spec.order() > cap:
             skipped += 1
             continue
-        lat = enumerate_subgroups(build(spec), cap=cap)
+        lat = enumerate_subgroups(build(spec))
         params = grid.label.format(*t)
         for (check, value), brute in zip(checks, grid.brute(lat, *t)):
             rows.append(VerifyRow(family, params, check, value, brute))

@@ -71,14 +71,30 @@ def dihedral_counts(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # metacyclic groups ZM(m, n, r) with cyclic Sylow subgroups
 
+def _geometric_sum(x: int, count: int, m: int) -> int:
+    """sum(x**j for j in range(count)) % m for a unit x mod m and count >= 1.
+
+    The powers of a unit are purely periodic, so the sum is some whole
+    periods plus a prefix of one: O(min(ord x, count)) steps.
+    """
+    prefix = [0]  # prefix[i]: sum of the first i powers
+    power = 1 % m
+    while len(prefix) <= count:
+        prefix.append(prefix[-1] + power)
+        power = power * x % m
+        if power == 1 % m:
+            break
+    whole, rest = divmod(count, len(prefix) - 1)  # the period, or count
+    return (whole * prefix[-1] + prefix[rest]) % m
+
+
 def zm_counts(m: int, n: int, r: int) -> tuple[int, int]:
     """Subgroup and normal-subgroup counts of ZM(m, n, r)."""
     check_params("ZM", (m, n, r))
     total = 0
     for m1 in divisors(m):
-        for n1 in divisors(n):
-            geo = sum(pow(r, j * n1, m1) for j in range(n // n1)) % m1
-            total += math.gcd(m1, geo)
+        for n1 in divisors(n):  # r is a unit mod m, as r**n == 1 (mod m)
+            total += math.gcd(m1, _geometric_sum(pow(r, n1, m1), n // n1, m1))
     normal = sum(tau(math.gcd(m, (pow(r, n1, m) - 1) % m))
                  for n1 in divisors(n))
     return total, normal

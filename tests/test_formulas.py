@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normdeg import formulas
-from normdeg.degrees import ndeg_brute
 from normdeg.errors import ConstraintError
 from normdeg.formulas import (
     Family,
@@ -30,8 +29,15 @@ from normdeg.formulas import (
     semidirect_bounds,
     zm_counts,
 )
-from normdeg.groups import build, parse_spec
-from normdeg.numtheory import sigma, tau
+from normdeg.groups import build, family_params, parse_spec
+from normdeg.lattice import enumerate_subgroups
+from normdeg.numtheory import divisors, sigma, tau
+
+
+def lattice_counts(spec: str) -> tuple[int, int]:
+    """(subgroup count, normal count) read off the enumerated lattice."""
+    lat = enumerate_subgroups(build(spec))
+    return len(lat), lat.normal_count
 
 
 def degree(counts: tuple[int, int]) -> Fraction:
@@ -79,8 +85,7 @@ class TestSemidirect:
         (3, 7, 2), (2, 15, 4), (3, 28, 9), (5, 11, 3), (2, 9, 8),
     ])
     def test_matches_brute_force(self, p, n, k0):
-        report = ndeg_brute(build(f"SDP({p},{n},{k0})"))
-        assert (report.lattice_size, report.normal_count) == sdp_counts(p, n, k0)
+        assert lattice_counts(f"SDP({p},{n},{k0})") == sdp_counts(p, n, k0)
 
     def test_bounds_order21(self):
         b = semidirect_bounds(3, 7, 2)
@@ -151,8 +156,7 @@ class TestDihedral:
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 15])
     def test_matches_brute_force(self, n):
-        report = ndeg_brute(build(f"Dih({n})"))
-        assert (report.lattice_size, report.normal_count) == dihedral_counts(n)
+        assert lattice_counts(f"Dih({n})") == dihedral_counts(n)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_rejects_small_n(self, n):
@@ -185,8 +189,29 @@ class TestZM:
         (5, 4, 2), (7, 3, 2), (5, 2, 4), (13, 4, 5), (13, 3, 3),
     ])
     def test_matches_brute_force(self, m, n, r):
-        report = ndeg_brute(build(f"ZM({m},{n},{r})"))
-        assert (report.lattice_size, report.normal_count) == zm_counts(m, n, r)
+        assert lattice_counts(f"ZM({m},{n},{r})") == zm_counts(m, n, r)
+
+    @given(st.integers(1, 60).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(0, m - 1).filter(lambda x: gcd(x, m) == 1),
+        st.integers(1, 300))))
+    @settings(max_examples=300, deadline=None)
+    def test_geometric_sum_matches_the_direct_sum(self, case):
+        m, x, count = case
+        assert formulas._geometric_sum(x, count, m) == \
+               sum(pow(x, j, m) for j in range(count)) % m
+
+    def test_subgroup_count_matches_the_direct_sum(self):
+        # every ZM tuple of order <= 1000, against the sum over j < n/n1 of
+        # r^(j n1) mod m1 taken term by term
+        for m, n, r in family_params("ZM", 1000):
+            direct = sum(gcd(m1, sum(pow(r, j * n1, m1) for j in range(n // n1)) % m1)
+                         for m1 in divisors(m) for n1 in divisors(n))
+            assert zm_counts(m, n, r)[0] == direct
+
+    def test_long_cyclic_factor(self):
+        # 2 has order 3 mod 7: each sum is whole periods, not n terms
+        assert zm_counts(7, 3_000_000, 2) == (490, 147)
+        assert zm_counts(7, 300_000_000, 2) == (810, 243)
 
     @pytest.mark.parametrize("m, n, r", [
         (5, 3, 2),    # 2^3 = 8 is 3 mod 5
@@ -220,8 +245,7 @@ class TestAbelianRank2:
 
     @pytest.mark.parametrize("p, a1, a2", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
     def test_matches_brute_force(self, p, a1, a2):
-        G = build(f"C({p ** a1}) x C({p ** a2})")
-        assert ndeg_brute(G).lattice_size == abelian_rank2_total(p, a1, a2)
+        assert lattice_counts(f"C({p ** a1}) x C({p ** a2})")[0] == abelian_rank2_total(p, a1, a2)
 
     @pytest.mark.parametrize("p, n", [(2, 4), (2, 6), (3, 3), (3, 5), (5, 3)])
     def test_modular_groups_share_the_abelian_lattice_size(self, p, n):
@@ -328,5 +352,4 @@ class TestFormulaDispatch:
 
     @pytest.mark.parametrize("spec", ["C(30)", "Dih(10)", "Q(5)", "M(3,4)"])
     def test_dispatch_matches_brute_force(self, spec):
-        report = ndeg_brute(build(spec))
-        assert formula_counts(spec) == (report.lattice_size, report.normal_count)
+        assert formula_counts(spec) == lattice_counts(spec)

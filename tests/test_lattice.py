@@ -4,10 +4,11 @@ Two oracles stand beside the enumerator. An exhaustive subset scan tests
 every subset of a group of order <= 16 for closure. A closure oracle grows
 subgroups one element at a time up to a fixed point and forms classes by
 conjugating with every element of G; it pins masks, canonical order,
-classes and normal flags on the order-32 catalog, on the non-solvable
+classes and the normal count on the order-32 catalog, on the non-solvable
 Sym(5), on three groups of order 72 to 105 and on three 2-groups of order
-64 with classes of 16 to 32 conjugates. SHA-256 digests pin the same three
-on every group of the benchmark's compute and sd corpora, up to order 512.
+64 with classes of 16 to 32 conjugates. SHA-256 digests pin the masks, the
+classes and the normal flags read off them on every group of the
+benchmark's compute and sd corpora, up to order 512.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normdeg.errors import CapExceededError, ConstraintError
+from normdeg.errors import ConstraintError
 from normdeg.explorer import catalog_specs
 from normdeg.groups import build, closure
 from normdeg.lattice import (
-    DEFAULT_CAP,
     SubgroupSet,
     _canonical_key,
     _conjugation_perms,
@@ -73,6 +73,15 @@ def conjugate_masks(G, mask: int) -> list[int]:
     rows, inv = G.rows, G.inv.tolist()
     elems = [e for e in range(G.order) if mask >> e & 1]
     return [sum(1 << rows[rows[g][h]][inv[g]] for h in elems) for g in range(G.order)]
+
+
+def normal_flags(lat) -> list[bool]:
+    """Per subgroup, whether it is normal: whether its class has one member."""
+    flags = [False] * len(lat)
+    for cls in lat.classes:
+        if len(cls) == 1:
+            flags[cls[0]] = True
+    return flags
 
 
 def class_core(lat, size: int) -> int:
@@ -194,12 +203,12 @@ class TestEnumeration:
         masks, classes = lattice_by_closure(G)
         assert [s.mask for s in lat.subgroups] == masks
         assert {frozenset(masks[i] for i in cls) for cls in lat.classes} == classes
-        assert lat.normal_flags == [frozenset([m]) in classes for m in masks]
+        assert lat.normal_count == sum(frozenset([m]) in classes for m in masks)
 
     @pytest.mark.parametrize("spec, digest", LATTICE_DIGESTS.items())
     def test_pinned_lattice_digests(self, spec, digest):
         lat = enumerate_subgroups(build(spec))
-        text = repr(([s.mask for s in lat.subgroups], lat.classes, lat.normal_flags))
+        text = repr(([s.mask for s in lat.subgroups], lat.classes, normal_flags(lat)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_canonical_order_and_determinism(self):
@@ -231,16 +240,9 @@ class TestEnumeration:
         singles = [c for c in lat.classes if len(c) == 1]
         assert len(singles) == lat.normal_count
 
-    def test_cap_enforced_and_overridable(self):
-        with pytest.raises(CapExceededError) as err:
-            enumerate_subgroups(build("C(600)"))
-        assert "600" in str(err.value) and str(DEFAULT_CAP) in str(err.value)
-        lat = enumerate_subgroups(build("C(600)"), cap=1024)
-        assert len(lat.subgroups) == 24
-
     def test_known_counts(self):
         expect = {"Dih(4)": 10, "Q(3)": 6, "SD(4)": 15, "Sym(4)": 30,
-                  "SDP(3,7,2)": 10, "ZM(5,4,2)": 14}
+                  "SDP(3,7,2)": 10, "ZM(5,4,2)": 14, "C(600)": 24}
         for spec, count in expect.items():
             assert len(enumerate_subgroups(build(spec)).subgroups) == count
 
@@ -296,9 +298,9 @@ class TestConjugationPerms:
         assert central and kept
         assert _conjugation_perms(G) == [[rows[rows[g][h]][inv[g]] for h in range(n)] for g in kept]
 
-    # the normal flags and the classes come from orbits under the kept
-    # perms only; check each flag, and each core as the AND of its class's
-    # masks, against conjugation by every element of G
+    # the classes come from orbits under the kept perms only; check each
+    # one-member class as the normal subgroups, and each core as the AND of
+    # its class's masks, against conjugation by every element of G
     @pytest.mark.parametrize("spec", ["Dih(4) x C(2)", "EA(2,4)", "Sym(4)", "Q(3) x C(3)"])
     def test_is_normal_and_core_by_definition(self, spec):
         G = build(spec)
@@ -307,14 +309,14 @@ class TestConjugationPerms:
             core = reduce(and_, (lat.subgroups[i].mask for i in cls))
             for i in cls:
                 conjugates = conjugate_masks(G, lat.subgroups[i].mask)
-                assert lat.normal_flags[i] == (set(conjugates) == {lat.subgroups[i].mask})
+                assert (len(cls) == 1) == (set(conjugates) == {lat.subgroups[i].mask})
                 assert core == reduce(and_, conjugates)
 
 
 class TestGeneratedSubgroup:
     def test_cyclic_part_of_dihedral(self):
         G = build("Dih(6)")
-        rot = SubgroupSet(*closure(G.rows, [1]))
+        rot = SubgroupSet(closure(G.rows, [1])[0])
         assert (rot.mask, rot.size) == (0b111111, 6)
         assert normalizer(G, rot).size == G.order
 
@@ -331,7 +333,7 @@ class TestNormalityStructure:
     def test_normalizer_of_reflection_in_dihedral8(self):
         G = build("Dih(4)")
         lat = enumerate_subgroups(G)
-        refl = next(s for s, normal in zip(lat.subgroups, lat.normal_flags)
+        refl = next(s for s, normal in zip(lat.subgroups, normal_flags(lat))
                     if s.size == 2 and not normal)
         norm = normalizer(G, refl)
         assert norm.size == 4
@@ -341,7 +343,7 @@ class TestNormalityStructure:
         lat = enumerate_subgroups(build("Sym(4)"))
         c = class_core(lat, 8)
         assert c.bit_count() == 4  # the doubly-even permutations survive
-        assert lat.normal_flags[[s.mask for s in lat.subgroups].index(c)]
+        assert normal_flags(lat)[[s.mask for s in lat.subgroups].index(c)]
 
     def test_core_of_point_stabilizer_is_trivial(self):
         lat = enumerate_subgroups(build("Sym(4)"))
@@ -367,8 +369,8 @@ class TestNormalityStructure:
             lat = enumerate_subgroups(G)
             fix_conj = {cls[0] for cls in lat.classes if len(cls) == 1}
             fix_norm = {i for i, s in enumerate(lat.subgroups) if normalizer(G, s).size == G.order}
-            normal = {i for i, flag in enumerate(lat.normal_flags) if flag}
-            assert fix_conj == fix_norm == normal
+            assert fix_conj == fix_norm
+            assert len(fix_norm) == lat.normal_count
 
 
 class TestSemidirectNormalizers:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import contextmanager
+from collections.abc import Iterable
+from fractions import Fraction
 from time import perf_counter
 
 from . import explorer
@@ -47,17 +48,18 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _emit(row: list[str]) -> None:
-    sys.stdout.write("\t".join(row) + "\n")
-
-
-@contextmanager
-def _printable(hint: str):
-    """Report Python's integer-to-string digit limit as a constraint violation."""
+def _write(header: list[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write a TSV table of exact values: int, Fraction (as num/den), str, or
+    None (as -). Every cell is formatted before the first line is written, so
+    a value past Python's integer-string digit limit leaves stdout empty."""
     try:
-        yield
+        lines = [header] + [["-" if v is None else format_ratio(v)
+                             if isinstance(v, Fraction) else str(v) for v in row]
+                            for row in rows]
     except ValueError:
-        raise ConstraintError("exact value too long to print", hint) from None
+        raise ConstraintError("exact value too long to print",
+                              "past Python's integer-string digit limit") from None
+    sys.stdout.write("".join("\t".join(line) + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +68,7 @@ def _printable(hint: str):
 def cmd_compute(args: argparse.Namespace) -> int:
     start = perf_counter()
     spec = parse_spec(args.spec)
-    text = spec.render()
+    text, order = spec.render(), spec.order()  # the order first: it may be refused
     method = args.method
     counts = formula_counts(spec)
     if method == "auto":
@@ -76,8 +78,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
                               "use --method brute", text)
     sd = None
     if method != "formula" or args.sd:
-        if spec.order() > args.cap:  # before the table is materialised
-            raise CapExceededError(spec.order(), args.cap)
+        if order > args.cap:  # before the table is materialised
+            raise CapExceededError(order, args.cap)
         table = build(spec)
         lattice = enumerate_subgroups(table)
         if method != "formula":
@@ -88,17 +90,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
             sd = sd_brute(table, lattice=lattice)
     total, normal = counts
     report = DegreeReport(
-        spec=text, order=spec.order(), lattice_size=total, normal_count=normal,
+        spec=text, order=order, lattice_size=total, normal_count=normal,
         sd=sd, method=method,
         elapsed_ms=int((perf_counter() - start) * 1000))
-    with _printable("use a spec of smaller order"):
-        row = [report.spec, str(report.order), str(report.lattice_size),
-               str(report.normal_count), format_ratio(report.ndeg),
-               format_ratio(report.sd) if report.sd is not None else "-",
-               report.method, str(report.elapsed_ms)]
-    _emit(["spec", "order", "lattice_size", "normal_count", "ndeg", "sd",
-           "method", "elapsed_ms"])
-    _emit(row)
+    _write(["spec", "order", "lattice_size", "normal_count", "ndeg", "sd",
+            "method", "elapsed_ms"],
+           [[report.spec, report.order, report.lattice_size, report.normal_count,
+             report.ndeg, report.sd, report.method, report.elapsed_ms]])
     if args.ledger:
         try:
             explorer.ledger_append(args.ledger, report)
@@ -129,13 +127,10 @@ def _parse_ranges(text: str) -> dict[str, tuple[int, int]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     ranges = _parse_ranges(args.range) if args.range else None
     rows, skipped = explorer.verify_grid(args.family, ranges, cap=args.cap)
-    _emit(["family", "params", "check", "formula", "brute", "status"])
-    mismatches = 0
-    for row in rows:
-        ok = row.ok
-        mismatches += 0 if ok else 1
-        _emit([row.family, row.params, row.check, str(row.formula_value),
-               str(row.brute_value), "ok" if ok else "mismatch"])
+    mismatches = sum(not row.ok for row in rows)
+    _write(["family", "params", "check", "formula", "brute", "status"],
+           ([row.family, row.params, row.check, row.formula_value, row.brute_value,
+             "ok" if row.ok else "mismatch"] for row in rows))
     print(f"{len(rows)} comparisons, {mismatches} mismatches, "
           f"{skipped} tuples beyond cap", file=sys.stderr)
     if not rows:  # a run that compared nothing verified nothing
@@ -149,22 +144,17 @@ def cmd_density(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad target {args.target!r}: {exc}", 0)
     steps = explorer.density_sequence(target, steps=args.steps)
-    with _printable("use a target a/b with a smaller b - a"):
-        rows = [[str(s.index), " x ".join(s.factor_specs), format_ratio(s.ndeg),
-                 format_ratio(s.target), format_ratio(s.gap)] for s in steps]
-    _emit(["step", "group", "ndeg", "target", "gap"])
-    for row in rows:
-        _emit(row)
+    _write(["step", "group", "ndeg", "target", "gap"],
+           ([s.index, " x ".join(s.factor_specs), s.ndeg, s.target, s.gap]
+            for s in steps))
     return EXIT_OK
 
 
 def cmd_conjecture43(args: argparse.Namespace) -> int:
     rows = explorer.conjecture_witness_rows(args.a_max, args.order_cap)
-    _emit(["a", "target", "criterion_witness", "catalog_witness"])
-    for r in rows:
-        _emit([str(r.a), format_ratio(r.target),
-               r.criterion_witness or "none found",
-               r.catalog_witness or "none found"])
+    _write(["a", "target", "criterion_witness", "catalog_witness"],
+           ([r.a, r.target, r.criterion_witness or "none found",
+             r.catalog_witness or "none found"] for r in rows))
     return EXIT_OK
 
 
@@ -175,12 +165,8 @@ def cmd_limits(args: argparse.Namespace) -> int:
     header = ["n", "ndeg", "distance"]
     if args.decimals is not None:
         header.append("approx")
-    _emit(header)
-    for n, nd, dist in rows:
-        row = [str(n), format_ratio(nd), format_ratio(dist)]
-        if args.decimals is not None:
-            row.append(f"{float(nd):.{args.decimals}f}")
-        _emit(row)
+        rows = [[*row, f"{float(row[1]):.{args.decimals}f}"] for row in rows]
+    _write(header, rows)
     return EXIT_OK
 
 
@@ -190,15 +176,12 @@ def cmd_ledger(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot read ledger: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(["section", "key", "value"])
-    _emit(["records", "-", str(summary["records"])])
-    _emit(["malformed", "-", str(summary["malformed"])])
-    for method, count in summary["by_method"].items():
-        _emit(["method", method, str(count)])
-    for fam, count in summary["by_family"].items():
-        _emit(["family", fam, str(count)])
-    for value, count in summary["ndeg_values"]:
-        _emit(["ndeg", value, str(count)])
+    _write(["section", "key", "value"],
+           [["records", None, summary["records"]],
+            ["malformed", None, summary["malformed"]],
+            *(["method", *item] for item in summary["by_method"].items()),
+            *(["family", *item] for item in summary["by_family"].items()),
+            *(["ndeg", *item] for item in summary["ndeg_values"])])
     return EXIT_OK
 
 

@@ -302,7 +302,11 @@ def verify_grid(family: str, ranges: dict[str, tuple[int, int]] | None = None,
             checks = grid.checks(*t)
         except ConstraintError:  # no such group, or outside the closed form's domain
             continue
-        if spec.order() > cap:
+        try:
+            beyond = spec.order() > cap
+        except ConstraintError:  # an order too long to print is past any cap
+            beyond = True
+        if beyond:
             skipped += 1
             continue
         lat = enumerate_subgroups(build(spec))
@@ -341,7 +345,8 @@ def ledger_append(path: str, report: DegreeReport) -> None:
 
 
 def ledger_summarize(path: str, err: TextIO = sys.stderr) -> dict:
-    """Aggregate a ledger: record counts by method and family, distinct ndeg values."""
+    """Aggregate a ledger: record counts by method and family, and each
+    distinct ndeg value (a Fraction) with its count."""
     records = 0
     malformed = 0
     by_method: dict[str, int] = {}
@@ -376,6 +381,5 @@ def ledger_summarize(path: str, err: TextIO = sys.stderr) -> dict:
         "malformed": malformed,
         "by_method": dict(sorted(by_method.items())),
         "by_family": dict(sorted(by_family.items())),
-        "ndeg_values": [(f"{v.numerator}/{v.denominator}", c)
-                        for v, c in sorted(ndeg_seen.items())],
+        "ndeg_values": sorted(ndeg_seen.items()),
     }

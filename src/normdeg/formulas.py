@@ -72,20 +72,14 @@ def dihedral_counts(n: int) -> tuple[int, int]:
 # metacyclic groups ZM(m, n, r) with cyclic Sylow subgroups
 
 def _geometric_sum(x: int, count: int, m: int) -> int:
-    """sum(x**j for j in range(count)) % m for a unit x mod m and count >= 1.
-
-    The powers of a unit are purely periodic, so the sum is some whole
-    periods plus a prefix of one: O(min(ord x, count)) steps.
-    """
-    prefix = [0]  # prefix[i]: sum of the first i powers
-    power = 1 % m
-    while len(prefix) <= count:
-        prefix.append(prefix[-1] + power)
-        power = power * x % m
-        if power == 1 % m:
-            break
-    whole, rest = divmod(count, len(prefix) - 1)  # the period, or count
-    return (whole * prefix[-1] + prefix[rest]) % m
+    """sum(x**j for j in range(count)) % m, by binary splitting on the bits of
+    count: S(2c) = S(c) (1 + x**c) and S(c+1) = 1 + x S(c)."""
+    total, power = 0, 1 % m  # S(c) and x**c mod m, from c = 0
+    for bit in bin(count)[2:]:
+        total, power = total * (1 + power) % m, power * power % m
+        if bit == "1":
+            total, power = (1 + x * total) % m, power * x % m
+    return total
 
 
 def zm_counts(m: int, n: int, r: int) -> tuple[int, int]:
@@ -93,7 +87,7 @@ def zm_counts(m: int, n: int, r: int) -> tuple[int, int]:
     check_params("ZM", (m, n, r))
     total = 0
     for m1 in divisors(m):
-        for n1 in divisors(n):  # r is a unit mod m, as r**n == 1 (mod m)
+        for n1 in divisors(n):
             total += math.gcd(m1, _geometric_sum(pow(r, n1, m1), n // n1, m1))
     normal = sum(tau(math.gcd(m, (pow(r, n1, m) - 1) % m))
                  for n1 in divisors(n))

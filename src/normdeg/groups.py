@@ -153,6 +153,18 @@ def _check_build_order(order: int) -> None:
                               f"order {order} exceeds build ceiling {MAX_BUILD_ORDER}")
 
 
+# p**k >= 2**(k * (p.bit_length() - 1)), and 2**14285 has 4301 digits: past
+# Python's default integer-string limit, so no command could print that order
+_PRINTABLE_BITS = 14285
+
+
+def _power_order(p: int, k: int) -> int:
+    """p**k, refused before it is computed when it is too long to print."""
+    if k * (p.bit_length() - 1) >= _PRINTABLE_BITS:
+        raise ConstraintError("group order too long to print", f"{p}**{k}")
+    return p ** k
+
+
 def _table_cyclic(n: int) -> np.ndarray:
     a = np.arange(n, dtype=np.int16)
     return (a[:, None] + a) % n
@@ -244,12 +256,12 @@ _FAMILIES: dict[str, _Family] = {
     "Dih": _Family(1, _check_positive("Dih", 1), lambda p: 2 * p[0],
                    lambda p: metacyclic_table(p[0], 2, p[0] - 1),  # y x y = x^-1
                    lambda cap: _singles(cap // 2)),
-    "Q": _Family(1, _check_positive("Q", 3), lambda p: 1 << p[0],
+    "Q": _Family(1, _check_positive("Q", 3), lambda p: _power_order(2, p[0]),
                  lambda p: _table_quaternion(p[0]), lambda cap: _singles(cap.bit_length())),
-    "SD": _Family(1, _check_positive("SD", 4), lambda p: 1 << p[0],
+    "SD": _Family(1, _check_positive("SD", 4), lambda p: _power_order(2, p[0]),
                   lambda p: metacyclic_table(1 << (p[0] - 1), 2, (1 << (p[0] - 2)) - 1),
                   lambda cap: _singles(cap.bit_length())),
-    "M": _Family(2, _check_mpn, lambda p: p[0] ** p[1],
+    "M": _Family(2, _check_mpn, lambda p: _power_order(*p),
                  lambda p: metacyclic_table(p[0] ** (p[1] - 1), p[0], p[0] ** (p[1] - 2) + 1),
                  _prime_powers),
     "Sym": _Family(1, _check_sym, lambda p: math.factorial(p[0]),
@@ -265,7 +277,7 @@ _FAMILIES: dict[str, _Family] = {
                   lambda cap: ((m, n, r) for m in range(1, cap + 1, 2)
                                for n in range(1, cap // m + 1) if math.gcd(m, n) == 1
                                for r in range(m) if pow(r, n, m) == 1 % m)),
-    "EA": _Family(2, _check_ea, lambda p: p[0] ** p[1], lambda p: _table_ea(*p),
+    "EA": _Family(2, _check_ea, lambda p: _power_order(*p), lambda p: _table_ea(*p),
                   _prime_powers),
 }
 

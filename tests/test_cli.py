@@ -5,12 +5,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import normdeg.cli
@@ -36,6 +39,20 @@ def tsv_rows(out):
     lines = [line for line in out.splitlines() if line]
     header = lines[0].split("\t")
     return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_process(*argv):
+    """(exit code, stdout, stderr) of a fresh normdeg process with 2 GiB of
+    address space and 20 s to answer, so that work without bound fails the
+    test instead of hanging the suite or filling the memory."""
+    result = subprocess.run([sys.executable, "-m", "normdeg.cli", *argv],
+                            capture_output=True, text=True, timeout=20,
+                            preexec_fn=_limit_memory)
+    return result.returncode, result.stdout, result.stderr
 
 
 class TestCompute:
@@ -184,6 +201,24 @@ class TestCompute:
         assert err == "cap exceeded: group order of 19903 bits exceeds enumeration cap 512\n"
 
     @pytest.mark.parametrize("argv", [
+        ("M(3,100000000)",),
+        ("SD(100000000000)",),
+        ("EA(3,100000000)", "--method", "brute"),  # the cap check computed 3^10^8
+        ("M(2,10000000000)",),  # a 1.25 GB order: MemoryError
+    ])
+    def test_power_order_is_refused_before_it_is_computed(self, argv):
+        code, out, err = run_process("compute", "--spec", *argv)
+        assert code == EXIT_CONSTRAINT
+        assert out == ""
+        assert err.startswith("constraint violation: group order too long to print: ")
+
+    def test_zm_sums_over_a_long_period(self):
+        # 5 is a primitive root mod 10^9 + 7: its powers have period 10^9 + 6
+        code, out, _ = run_process("compute", "--spec", "ZM(1000000007,1000000006,5)")
+        assert code == EXIT_OK
+        assert tsv_rows(out)[0]["lattice_size"] == "3000000026"
+
+    @pytest.mark.parametrize("argv", [
         ("--method", "brute"), ("--method", "formula", "--sd"),
     ])
     def test_elapsed_ms_covers_the_whole_pipeline(self, capsys, monkeypatch, argv):
@@ -230,6 +265,58 @@ class TestComputeFuzz:
         assert code in {EXIT_OK, EXIT_USAGE, EXIT_CONSTRAINT, EXIT_CAP}
 
 
+def _exponents():
+    """1 to 10^18, small enough for a printable order about half the time."""
+    return st.integers(1, 64) | st.integers(1, 20_000) | st.integers(1, 10**18)
+
+
+@st.composite
+def _zm_primes(draw) -> str:
+    q = sympy.prevprime(draw(st.integers(4, 10**9)))
+    return f"ZM({q},{q - 1},{draw(st.integers(2, q - 1))})"
+
+
+@st.composite
+def _zm_inversions(draw) -> str:
+    m = 2 * draw(st.integers(0, 10**17)) + 1
+    n = 2 * draw(st.integers(1, (10**18 - 1) // (2 * m)))
+    assume(gcd(m, n) == 1)
+    return f"ZM({m},{n},{m - 1})"
+
+
+def formula_specs():
+    """Specs of every family with a closed form, parameters up to 10^18."""
+    below = st.integers(0, 10**18 - 1)
+    odd = st.integers(0, 10**18 // 2 - 1).map(lambda k: 2 * k + 1)
+    return st.one_of(
+        below.map("C({})".format), below.map("Dih({})".format),
+        _exponents().map("Q({})".format), _exponents().map("SD({})".format),
+        st.builds("M({},{})".format, st.sampled_from([2, 3, 5, 97, 10**9 + 7]),
+                  _exponents()),
+        odd.map(lambda n: f"SDP(2,{n},{n - 1})"), _zm_primes(), _zm_inversions())
+
+
+class TestFormulaFuzz:
+    @given(spec=formula_specs())
+    @example(spec="M(3,100000000)")
+    @example(spec="SD(100000000000)")
+    @example(spec="M(2,10000000000)")
+    @example(spec="EA(3,100000000)")
+    @example(spec="Q(1000000000000000000)")
+    @example(spec="ZM(1000003,1000002,2)")
+    @example(spec="ZM(1000000007,1000000006,5)")
+    @example(spec="ZM(999999937,999999936,2)")
+    @example(spec="SDP(2,999999999999999999,999999999999999998)")
+    @settings(max_examples=40, deadline=None)
+    def test_answers_or_refuses(self, spec):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["compute", "--spec", spec])
+        assert code in {EXIT_OK, EXIT_CONSTRAINT}
+        assert (code == EXIT_OK) == bool(out.getvalue())  # no partial table
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--family", "sdp",
@@ -252,6 +339,14 @@ class TestVerify:
         assert code == EXIT_CAP
         assert tsv_rows(out) == []
         assert "0 comparisons, 0 mismatches, 58 tuples beyond cap" in err
+
+    def test_orders_too_long_to_print_are_beyond_cap(self, capsys):
+        # M(2, n) for n >= 14285 is refused before its order is computed
+        code, out, err = run_cli(capsys, "verify", "--family", "mpn",
+                                 "--range", "p=2..2,n=3..20000")
+        assert code == EXIT_OK
+        assert len(tsv_rows(out)) == 12
+        assert "12 comparisons, 0 mismatches, 19991 tuples beyond cap" in err
 
     def test_negative_cap_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -350,6 +445,15 @@ class TestLimits:
             main(["limits", "--family", "mpn", "--decimals", "-1"])
         assert exc.value.code == EXIT_USAGE
         assert "--decimals" in capsys.readouterr().err
+
+    def test_value_past_the_digit_limit_writes_no_row(self, capsys):
+        # ndeg(Q(n)) passes 4300 digits at n = 14285: no partial table
+        code, out, err = run_cli(capsys, "limits", "--family", "quaternion2n",
+                                 "--n-max", "15000")
+        assert code == EXIT_CONSTRAINT
+        assert out == ""
+        assert err.startswith("constraint violation: exact value too long to print")
+        assert len(err.splitlines()) == 1
 
     def test_two_group_families(self, capsys):
         for family in ("dihedral2n", "quaternion2n", "semidihedral2n"):

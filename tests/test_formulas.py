@@ -192,8 +192,7 @@ class TestZM:
         assert lattice_counts(f"ZM({m},{n},{r})") == zm_counts(m, n, r)
 
     @given(st.integers(1, 60).flatmap(lambda m: st.tuples(
-        st.just(m), st.integers(0, m - 1).filter(lambda x: gcd(x, m) == 1),
-        st.integers(1, 300))))
+        st.just(m), st.integers(0, m - 1), st.integers(0, 300))))
     @settings(max_examples=300, deadline=None)
     def test_geometric_sum_matches_the_direct_sum(self, case):
         m, x, count = case
@@ -209,7 +208,7 @@ class TestZM:
             assert zm_counts(m, n, r)[0] == direct
 
     def test_long_cyclic_factor(self):
-        # 2 has order 3 mod 7: each sum is whole periods, not n terms
+        # each geometric sum takes log2(n/n1) steps, not n/n1 terms
         assert zm_counts(7, 3_000_000, 2) == (490, 147)
         assert zm_counts(7, 300_000_000, 2) == (810, 243)
 

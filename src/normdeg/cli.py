@@ -70,7 +70,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
     text, order = spec.render(), spec.order()  # the order first: it may be refused
     method = args.method
-    counts = formula_counts(spec)
+    counts = formula_counts(spec) if method in ("auto", "formula") else None
     if method == "auto":
         method = "formula" if counts is not None else "brute"
     if method == "formula" and counts is None:

@@ -59,6 +59,7 @@ def density_sequence(target: Fraction, steps: int = 20) -> list[DensitySequenceS
     if steps < 1:
         raise ConstraintError("density sequence needs at least one step", f"steps={steps}")
     a, width = target.numerator, target.denominator - target.numerator
+    primes = nth_primes(width, steps * width) if 0 < target < 1 else []
     out = []
     for t in range(1, steps + 1):
         if target == 0:
@@ -67,7 +68,7 @@ def density_sequence(target: Fraction, steps: int = 20) -> list[DensitySequenceS
             factors = [(Family.MODULAR, 3, t + 2)]
         else:
             factors = [(Family.MODULAR, p, a + i + 1) for i, p in
-                       enumerate(nth_primes(t * width, width), start=1)]
+                       enumerate(primes[(t - 1) * width : t * width], start=1)]
         nd = math.prod(ndeg_family(*factor) for factor in factors)
         specs = tuple(family_member(*factor).render() for factor in factors)
         out.append(DensitySequenceStep(t, specs, nd, target, abs(nd - target)))
@@ -352,7 +353,7 @@ def ledger_summarize(path: str, err: TextIO = sys.stderr) -> dict:
     by_method: dict[str, int] = {}
     by_family: dict[str, int] = {}
     ndeg_seen: dict[Fraction, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

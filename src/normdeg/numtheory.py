@@ -7,13 +7,12 @@ Ratios are stdlib Fractions, always reduced with a positive denominator.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .errors import SieveExhaustedError
 
-_TRIAL_LIMIT = 10**6
-# Deterministic Miller-Rabin witness set, valid far beyond 2**64.
+# The primes up to 37: the deterministic Miller-Rabin witness set (valid far
+# beyond 2**64), and the only primes factorize divides out by trial.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -59,8 +58,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """Return a nontrivial factor of composite odd n (Brent, BIT 20, 1980)."""
-    if n % 2 == 0:
-        return 2
     m = 128  # steps per gcd
     c = 1
     while True:
@@ -107,31 +104,18 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization as (prime, exponent) pairs with primes increasing.
 
-    Trial division up to 10**6, then Pollard rho with Miller-Rabin on the
-    remaining cofactor. factorize(1) == [].
+    Trial division by the primes in _MR_BASES (2..37), then Miller-Rabin
+    and Pollard-Brent on the cofactor: every composite part left runs
+    through _pollard_brent. factorize(1) == [].
     """
     if n < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _MR_BASES:
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
-    # wheel over residues coprime to 30
-    d = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        while n % d == 0:
-            n //= d
-            out[d] = out.get(d, 0) + 1
-        d += increments[i]
-        i = (i + 1) & 7
-    if n > 1:
-        if d * d > n:
-            out[n] = out.get(n, 0) + 1  # cofactor has no divisor <= sqrt, prime
-        else:
-            _factor_into(n, out)
+    _factor_into(n, out)
     return sorted(out.items())
 
 
@@ -169,43 +153,29 @@ def gcd_divisor_sum(n: int, r: int) -> int:
     return sum(math.gcd(k, r) for k in divisors(n))
 
 
-class _PrimeCache:
-    """Grow-only sieve of consecutive primes, safe for concurrent readers."""
+_HARD_LIMIT = 1 << 26
+_HARD_COUNT = 3_957_809  # primes below _HARD_LIMIT, counted by sieving
 
-    _HARD_LIMIT = 1 << 26
-    _HARD_COUNT = 3_957_809  # primes below _HARD_LIMIT, counted by sieving
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._limit = 0
-        self._primes: list[int] = []
+def nth_primes(start_index: int, count: int) -> list[int]:
+    """`count` consecutive primes starting at 0-based `start_index` (p_0 = 2).
 
-    def _grow(self, limit: int) -> None:
+    Sieves from 2**16, doubling the limit until it holds enough primes.
+    """
+    if start_index < 0 or count < 0:
+        raise ValueError("prime indices must be nonnegative")
+    need = start_index + count
+    if need > _HARD_COUNT:
+        raise SieveExhaustedError(
+            f"prime index {need - 1} beyond sieve bound {_HARD_LIMIT}")
+    limit = 1 << 16
+    while True:
         sieve = bytearray([1]) * (limit + 1)
         sieve[0] = sieve[1] = 0
         for i in range(2, math.isqrt(limit) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-        self._primes = [i for i in range(limit + 1) if sieve[i]]
-        self._limit = limit
-
-    def take(self, start_index: int, count: int) -> list[int]:
-        if start_index < 0 or count < 0:
-            raise ValueError("prime indices must be nonnegative")
-        need = start_index + count
-        if need > self._HARD_COUNT:
-            raise SieveExhaustedError(
-                f"prime index {need - 1} beyond sieve bound {self._HARD_LIMIT}"
-            )
-        with self._lock:
-            while len(self._primes) < need:
-                self._grow(max(1 << 16, self._limit * 2))
-            return self._primes[start_index : start_index + count]
-
-
-_prime_cache = _PrimeCache()
-
-
-def nth_primes(start_index: int, count: int) -> list[int]:
-    """`count` consecutive primes starting at 0-based `start_index` (p_0 = 2)."""
-    return _prime_cache.take(start_index, count)
+        primes = [i for i in range(limit + 1) if sieve[i]]
+        if len(primes) >= need:
+            return primes[start_index:need]
+        limit *= 2

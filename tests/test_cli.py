@@ -218,6 +218,16 @@ class TestCompute:
         assert code == EXIT_OK
         assert tsv_rows(out)[0]["lattice_size"] == "3000000026"
 
+    @pytest.mark.parametrize("method", ["brute", "conjugacy"])
+    def test_lattice_methods_compute_no_closed_form(self, method):
+        # the closed form would factor 10^88 + 9, which has two large prime
+        # factors; the lattice routes meet the cap first
+        code, out, err = run_process("compute", "--spec", f"Dih({10**88 + 9})",
+                                     "--method", method)
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err.startswith("cap exceeded: ")
+
     @pytest.mark.parametrize("argv", [
         ("--method", "brute"), ("--method", "formula", "--sd"),
     ])
@@ -402,6 +412,14 @@ class TestDensity:
     def test_target_outside_unit_interval_is_a_constraint_error(self, capsys):
         code, _, _ = run_cli(capsys, "density", "--target", "5/3")
         assert code == EXIT_CONSTRAINT
+
+    def test_steps_past_the_sieve_bound_fail_before_any_step(self, capsys):
+        code, out, err = run_cli(capsys, "density", "--target", "1/2",
+                                 "--steps", "4000000")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err == ("prime sieve limit: prime index 4000000 beyond sieve "
+                       "bound 67108864\n")
 
     def test_value_past_the_digit_limit_is_a_constraint_error(self, capsys):
         code, out, err = run_cli(capsys, "density", "--target", "1/1000",

@@ -265,6 +265,16 @@ class TestLedger:
         assert summary["malformed"] == 1
         assert "line 4" in err.getvalue()
 
+    def test_a_line_that_is_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        self._append_reports(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        err = io.StringIO()
+        summary = ledger_summarize(str(path), err=err)
+        assert (summary["records"], summary["malformed"]) == (3, 1)
+        assert "line 4" in err.getvalue()
+
     @pytest.mark.parametrize("line", [
         "[1]",
         '{"method": "brute", "spec": "C(2)", "ndeg": "1/0"}',

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normdeg.errors import SieveExhaustedError
@@ -90,6 +90,19 @@ class TestFactorize:
             prod *= p**e
         assert prod == n
         assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+
+    # every prime above 37 is left to Miller-Rabin and Pollard-Brent
+    @given(st.lists(st.tuples(st.integers(41, 10**7).map(lambda k: sympy.prevprime(k + 1)),
+                              st.integers(1, 3)), min_size=1, max_size=3),
+           st.integers(1, 1000))
+    @example([(41, 5)], 1)
+    @example([(1000003, 2)], 1)
+    @example([(2**31 - 1, 2)], 1)
+    @example([(10**17 + 3, 1)], 1)
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_sympy_past_the_trial_primes(self, powers, cofactor):
+        n = cofactor * math.prod(p**e for p, e in powers)
+        assert factorize(n) == sorted(sympy.factorint(n).items())
 
     def test_is_prime_agrees_with_sympy(self):
         for n in list(range(2, 500)) + [2**31 - 1, 2**31 + 11, 10**12 + 39]:

@@ -13,7 +13,8 @@ import sys
 from collections import Counter
 
 from normdeg.errors import ConstraintError
-from normdeg.explorer import catalog_ndeg, catalog_specs
+from normdeg.explorer import catalog_specs, degree_report
+from normdeg.groups import parse_spec
 from normdeg.numtheory import format_ratio
 
 
@@ -27,7 +28,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConstraintError as exc:
         parser.error(str(exc))
 
-    rows = [(spec, order, catalog_ndeg(spec)) for spec, order in catalog]
+    rows = [(spec, order, degree_report(parse_spec(spec), cap=args.order_cap).ndeg)
+            for spec, order in catalog]
 
     print("spec\torder\tndeg")
     for spec, order, nd in rows:

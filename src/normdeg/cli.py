@@ -15,12 +15,10 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import explorer
-from .degrees import DegreeReport, ndeg_brute, ndeg_conjugacy, sd_brute
 from .errors import (CapExceededError, ConstraintError, SieveExhaustedError,
                      SpecParseError)
-from .formulas import Family, formula_counts
-from .groups import build, parse_spec
-from .lattice import enumerate_subgroups
+from .formulas import Family
+from .groups import build, parse_spec  # build: read by benchmark/test_benchmark.py:84
 from .numtheory import format_ratio, parse_ratio
 
 EXIT_OK = 0
@@ -67,32 +65,8 @@ def _write(header: list[str], rows: Iterable[Iterable[object]]) -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     start = perf_counter()
-    spec = parse_spec(args.spec)
-    text, order = spec.render(), spec.order()  # the order first: it may be refused
-    method = args.method
-    counts = formula_counts(spec) if method in ("auto", "formula") else None
-    if method == "auto":
-        method = "formula" if counts is not None else "brute"
-    if method == "formula" and counts is None:
-        raise ConstraintError("no closed form for this spec; "
-                              "use --method brute", text)
-    sd = None
-    if method != "formula" or args.sd:
-        if order > args.cap:  # before the table is materialised
-            raise CapExceededError(order, args.cap)
-        table = build(spec)
-        lattice = enumerate_subgroups(table)
-        if method != "formula":
-            route = ndeg_brute if method == "brute" else ndeg_conjugacy
-            found = route(table, spec_text=text, lattice=lattice)
-            counts = found.lattice_size, found.normal_count
-        if args.sd:
-            sd = sd_brute(table, lattice=lattice)
-    total, normal = counts
-    report = DegreeReport(
-        spec=text, order=order, lattice_size=total, normal_count=normal,
-        sd=sd, method=method,
-        elapsed_ms=int((perf_counter() - start) * 1000))
+    report = explorer.degree_report(parse_spec(args.spec), args.method, args.sd, args.cap)
+    report.elapsed_ms = int((perf_counter() - start) * 1000)
     _write(["spec", "order", "lattice_size", "normal_count", "ndeg", "sd",
             "method", "elapsed_ms"],
            [[report.spec, report.order, report.lattice_size, report.normal_count,

@@ -1,9 +1,9 @@
 """Search and reporting routines behind the command-line front end.
 
-Covers sequences of groups whose normality degrees approach a rational
-target, witness searches for degrees of the form a/(a+1), formula-vs-brute
-verification grids, limit tables for the structured families, and a JSON
-Lines result ledger.
+Covers the degree report of one group spec, sequences of groups whose
+normality degrees approach a rational target, witness searches for degrees
+of the form a/(a+1), formula-vs-brute verification grids, limit tables for
+the structured families, and a JSON Lines result ledger.
 """
 
 from __future__ import annotations
@@ -21,15 +21,47 @@ from typing import NamedTuple, TextIO
 
 from . import __version__
 from . import formulas as F
-from .degrees import DegreeReport, ndeg_brute
-from .errors import ConstraintError
+from .degrees import DegreeReport, ndeg_brute, ndeg_conjugacy, sd_brute
+from .errors import CapExceededError, ConstraintError
 from .formulas import (Family, family_limit, family_member, formula_counts,
                        ndeg_family)
-from .groups import Constructor, GroupSpec, Product, build, family_params
+from .groups import (Constructor, GroupSpec, Product, build, family_params,
+                     parse_spec)
 from .lattice import enumerate_subgroups
-from .numtheory import nth_primes
+from .numtheory import divisors, nth_primes
 
 DEFAULT_CAP = 512  # largest group order the commands enumerate unless told otherwise
+
+# ---------------------------------------------------------------------------
+# the degree report of one group spec
+
+def degree_report(spec: GroupSpec, method: str = "auto", sd: bool = False,
+                  cap: int = DEFAULT_CAP) -> DegreeReport:
+    """ndeg of one spec by method (auto, formula, brute or conjugacy), and its
+    sd when asked; auto takes the closed form when one covers the spec, else
+    brute force. The order is checked against cap before any table is built,
+    and formula without sd builds none."""
+    text, order = spec.render(), spec.order()  # the order first: it may be refused
+    counts = formula_counts(spec) if method in ("auto", "formula") else None
+    if method == "auto":
+        method = "formula" if counts is not None else "brute"
+    if method == "formula" and counts is None:
+        raise ConstraintError("no closed form for this spec; "
+                              "use --method brute", text)
+    sd_value = None
+    if method != "formula" or sd:
+        if order > cap:  # before the table is materialised
+            raise CapExceededError(order, cap)
+        table = build(spec)
+        lattice = enumerate_subgroups(table)
+        if method != "formula":
+            route = ndeg_brute if method == "brute" else ndeg_conjugacy
+            found = route(table, spec_text=text, lattice=lattice)
+            counts = found.lattice_size, found.normal_count
+        if sd:
+            sd_value = sd_brute(table, lattice=lattice)
+    return DegreeReport(text, order, *counts, sd=sd_value, method=method)
+
 
 # ---------------------------------------------------------------------------
 # sequences approaching a rational target
@@ -81,17 +113,15 @@ def density_sequence(target: Fraction, steps: int = 20) -> list[DensitySequenceS
 def mpn_witnesses(a: int) -> list[str]:
     """Modular-group specs M(q, n) with normality degree exactly a/(a+1).
 
-    For a prime q with (q+1) | (a+3) the unique candidate exponent is
-    n = q*(a+3)/(q+1) - 1; candidates failing the family constraints are
-    discarded and survivors are verified exactly.
+    q + 1 runs over the divisors of a+3; for a prime q the unique candidate
+    exponent is n = q*(a+3)/(q+1) - 1; candidates failing the family
+    constraints are discarded and survivors are verified exactly.
     """
     if a < 1:
         raise ConstraintError("witness search requires a >= 1", f"a={a}")
     target = Fraction(a, a + 1)
     found = []
-    for q in range(2, a + 3):
-        if (a + 3) % (q + 1):
-            continue
+    for q in [d - 1 for d in divisors(a + 3) if d > 2]:
         n = q * (a + 3) // (q + 1) - 1
         try:
             nd = ndeg_family(Family.MODULAR, q, n)
@@ -129,16 +159,6 @@ def catalog_specs(order_cap: int) -> list[tuple[str, int]]:
     return [(spec, order) for order, _, _, spec in entries]
 
 
-def catalog_ndeg(spec: str) -> Fraction:
-    """Normality degree of a catalog entry: closed form when backed, else brute
-    force (the catalog's order cap bounds the work)."""
-    counts = formula_counts(spec)
-    if counts is not None:
-        return Fraction(counts[1], counts[0])
-    G = build(spec)
-    return ndeg_brute(G, enumerate_subgroups(G)).ndeg
-
-
 @dataclass(frozen=True)
 class WitnessRow:
     """Search outcome for one target a/(a+1)."""
@@ -153,20 +173,14 @@ def conjecture_witness_rows(a_max: int, order_cap: int) -> list[WitnessRow]:
     """For each a <= a_max, hunt a group with normality degree a/(a+1) two ways."""
     if a_max < 1:
         raise ConstraintError("witness table requires a_max >= 1", f"a_max={a_max}")
-    catalog = catalog_specs(order_cap)
-    degree_cache: dict[str, Fraction] = {}
+    first: dict[Fraction, str] = {}  # each degree -> its first catalog spec
+    for spec, _ in catalog_specs(order_cap):
+        first.setdefault(degree_report(parse_spec(spec), cap=order_cap).ndeg, spec)
     rows = []
     for a in range(1, a_max + 1):
         target = Fraction(a, a + 1)
         crit = mpn_witnesses(a)
-        hit = None
-        for spec, _ in catalog:
-            if spec not in degree_cache:
-                degree_cache[spec] = catalog_ndeg(spec)
-            if degree_cache[spec] == target:
-                hit = spec
-                break
-        rows.append(WitnessRow(a, target, crit[0] if crit else None, hit))
+        rows.append(WitnessRow(a, target, crit[0] if crit else None, first.get(target)))
     return rows
 
 

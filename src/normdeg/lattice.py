@@ -117,8 +117,8 @@ def _canonical_key(n: int):
 
 
 def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
-    """All subgroups of G, with no bound on the work: a caller taking outside
-    input checks the order against its cap before building G.
+    """All subgroups of G, with no bound on the work: a caller taking outside input
+    (`explorer.degree_report`, `verify_grid`) checks its cap before building G.
 
     Cyclic extension over class representatives, from the trivial subgroup
     up: for a representative H and g in N(H) outside H with g^p in H for a

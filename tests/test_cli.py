@@ -135,7 +135,7 @@ class TestCompute:
         def build(spec):
             raise AssertionError("build called past the cap")
 
-        monkeypatch.setattr(normdeg.cli, "build", build)
+        monkeypatch.setattr(explorer, "build", build)
         code, _, err = run_cli(capsys, "compute", "--spec", spec,
                                "--method", "brute")
         assert code == EXIT_CAP

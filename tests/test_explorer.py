@@ -7,15 +7,16 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from normdeg.degrees import ndeg_brute
-from normdeg.errors import ConstraintError
+from normdeg.degrees import ndeg_brute, sd_brute
+from normdeg.errors import CapExceededError, ConstraintError
 from normdeg.explorer import (
     VERIFY_FAMILIES,
-    catalog_ndeg,
     catalog_specs,
     conjecture_witness_rows,
     default_ranges,
+    degree_report,
     density_sequence,
     ledger_append,
     ledger_summarize,
@@ -32,6 +33,37 @@ def brute(spec: str):
     """The brute-force report on a spec, over the lattice enumerated here."""
     G = build(spec)
     return ndeg_brute(G, enumerate_subgroups(G), spec_text=spec)
+
+
+class TestDegreeReport:
+    # (spec, method asked) -> method cell; Dih(6) has a closed form, Sym(4) none
+    @pytest.mark.parametrize("spec, method, cell", [
+        ("Dih(6)", "auto", "formula"), ("Dih(6)", "formula", "formula"),
+        ("Dih(6)", "brute", "brute"), ("Dih(6)", "conjugacy", "conjugacy"),
+        ("Sym(4)", "auto", "brute"), ("Sym(4)", "brute", "brute"),
+        ("Sym(4)", "conjugacy", "conjugacy"),
+    ])
+    @pytest.mark.parametrize("sd", [False, True])
+    def test_method_cell_and_counts(self, spec, method, cell, sd):
+        G = build(spec)
+        lat = enumerate_subgroups(G)
+        report = degree_report(parse_spec(spec), method, sd)
+        assert (report.spec, report.order, report.method) == (spec, G.order, cell)
+        assert (report.lattice_size, report.normal_count) == (len(lat), lat.normal_count)
+        assert report.sd == (sd_brute(G, lat) if sd else None)
+
+    @pytest.mark.parametrize("method", ["auto", "formula"])
+    def test_formula_without_sd_builds_no_table(self, monkeypatch, method):
+        def build(spec):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr("normdeg.explorer.build", build)
+        report = degree_report(parse_spec("C(600)"), method, cap=100)
+        assert (report.lattice_size, report.method) == (24, "formula")
+        with pytest.raises(CapExceededError):
+            degree_report(parse_spec("C(600)"), method, sd=True, cap=100)
+        with pytest.raises(AssertionError, match="table built"):
+            degree_report(parse_spec("C(60)"), method, sd=True, cap=100)
 
 
 class TestDensitySequence:
@@ -112,6 +144,19 @@ class TestConjectureSearch:
     def test_modular_witnesses(self, a, expected):
         assert mpn_witnesses(a) == expected
 
+    def test_witnesses_match_a_scan_over_every_prime_and_exponent(self):
+        for a in range(1, 61):
+            found = []
+            for q in sympy.primerange(2, a + 3):
+                for n in range(1, a + 4):
+                    try:
+                        nd = ndeg_family(Family.MODULAR, q, n)
+                    except ConstraintError:
+                        continue
+                    if nd == Fraction(a, a + 1):
+                        found.append((q ** n, f"M({q},{n})"))
+            assert mpn_witnesses(a) == [spec for _, spec in sorted(found)], a
+
     def test_witnesses_actually_hit_the_target(self):
         for a in range(1, 12):
             for spec in mpn_witnesses(a):
@@ -128,6 +173,23 @@ class TestConjectureSearch:
         assert rows[1].catalog_witness is None
         assert rows[2].criterion_witness == "M(5,4)"
         assert rows[2].catalog_witness == "ZM(3,16,2)"
+
+    def test_witness_rows_match_a_scan_of_the_catalog_for_each_a(self):
+        catalog = [spec for spec, _ in catalog_specs(64)]
+        degree: dict[str, Fraction] = {}
+        expected = []
+        for a in range(1, 41):
+            hit = None
+            for spec in catalog:
+                if spec not in degree:
+                    degree[spec] = brute(spec).ndeg
+                if degree[spec] == Fraction(a, a + 1):
+                    hit = spec
+                    break
+            crit = mpn_witnesses(a)
+            expected.append((a, crit[0] if crit else None, hit))
+        rows = conjecture_witness_rows(40, 64)
+        assert [(r.a, r.criterion_witness, r.catalog_witness) for r in rows] == expected
 
     def test_catalog_witness_degree_is_exact(self):
         row = conjecture_witness_rows(3, 200)[2]
@@ -160,8 +222,9 @@ class TestCatalog:
         assert "EA(2,6)" not in specs
 
     def test_catalog_degree_uses_formulas_when_available(self):
-        assert catalog_ndeg("M(5,4)") == Fraction(3, 4)
-        assert catalog_ndeg("Sym(4)") == Fraction(2, 15)
+        report = degree_report(parse_spec("M(5,4)"))  # order 625, past the default cap
+        assert (report.ndeg, report.method) == (Fraction(3, 4), "formula")
+        assert degree_report(parse_spec("Sym(4)")).ndeg == Fraction(2, 15)
 
 
 class TestVerifyGrid:

@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple, TextIO
 
 from . import __version__
@@ -110,12 +111,19 @@ def density_sequence(target: Fraction, steps: int = 20) -> list[DensitySequenceS
 # ---------------------------------------------------------------------------
 # witnesses for normality degree a/(a+1)
 
+def _by_power(x, y) -> int:
+    """Compare witnesses (n log2 q, q, n) by q^n, built only when the logs nearly tie."""
+    if abs(x[0] - y[0]) <= 1e-9 * max(x[0], y[0]):
+        x, y = x[1] ** x[2], y[1] ** y[2]
+    return (x > y) - (x < y)
+
+
 def mpn_witnesses(a: int) -> list[str]:
     """Modular-group specs M(q, n) with normality degree exactly a/(a+1).
 
     q + 1 runs over the divisors of a+3; for a prime q the unique candidate
     exponent is n = q*(a+3)/(q+1) - 1; candidates failing the family
-    constraints are discarded and survivors are verified exactly.
+    constraints are discarded and survivors, verified exactly, come by q^n.
     """
     if a < 1:
         raise ConstraintError("witness search requires a >= 1", f"a={a}")
@@ -128,8 +136,8 @@ def mpn_witnesses(a: int) -> list[str]:
         except ConstraintError:
             continue
         if nd == target:
-            found.append((q ** n, f"M({q},{n})"))
-    return [spec for _, spec in sorted(found)]
+            found.append((n * math.log2(q), q, n))
+    return [f"M({q},{n})" for _, q, n in sorted(found, key=cmp_to_key(_by_power))]
 
 
 # catalog order among groups of equal order
@@ -212,7 +220,7 @@ def _sizes(counts):
 
 
 def _lattice_sizes(lat, *t) -> list[int]:
-    return [len(lat.subgroups), lat.normal_count]
+    return [len(lat), lat.normal_count]
 
 
 def _abelian2_checks(p: int, a1: int, a2: int) -> list[tuple[str, int]]:
@@ -223,7 +231,7 @@ def _abelian2_checks(p: int, a1: int, a2: int) -> list[tuple[str, int]]:
 
 def _abelian2_brute(lat, p: int, a1: int, a2: int) -> list[int]:
     per = Counter(s.size for s in lat.subgroups)
-    return [per[p ** k] for k in range(a1 + a2 + 1)] + [len(lat.subgroups)]
+    return [per[p ** k] for k in range(a1 + a2 + 1)] + [len(lat)]
 
 
 class _Grid(NamedTuple):

@@ -7,14 +7,17 @@ over conjugacy-class representatives H, each kept with its element list:
 for non-solvable groups, once per double coset HgH outside N(H)), and its
 whole class is registered at once by conjugation under the non-central
 generators of G, stopping at |G : N(K)| conjugates, unless those map its
-generators into it. The walks read only the table rows (`rows[g][x]` is
-g*x) of the elements they multiply by.
+generators into it. Once the walk of N(H) reaches K = H<g>, it skips K's
+whole class above H: g' in N(H) inside K' outside H gives H < H<g'> <= K',
+and [K' : H] = p is prime, so H<g'> = K'. The walks read only the table
+rows (`rows[g][x]` is g*x) of the elements they multiply by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 
 import numpy as np
@@ -36,11 +39,7 @@ class SubgroupSet:
         return self.mask.bit_count()
 
     def elements(self) -> list[int]:
-        return _mask_elements(self.mask)
-
-
-def _mask_elements(mask: int) -> list[int]:
-    return [i for i, b in enumerate(format(mask, "b")[::-1]) if b == "1"]
+        return [i for i, b in enumerate(format(self.mask, "b")[::-1]) if b == "1"]
 
 
 def _bit(n: int):
@@ -77,22 +76,32 @@ def _conjugates(elems: list[int], perms: list[list[int]], bit, size: int) -> set
 
 
 class SubgroupLattice:
-    """Complete list of subgroups with conjugation structure.
+    """Every subgroup of a group of order `order`, held as its conjugacy orbits of masks.
 
-    `subgroups` is in canonical order: by size, then by sorted member
-    tuple. `classes` partitions indices into conjugacy orbits, each orbit
-    sorted, orbits ordered by their smallest index (the representative).
-    A subgroup is normal exactly when its class has one member, so
-    `normal_count` counts the one-member classes.
+    `len()` and `normal_count` (the one-member classes: a subgroup is normal
+    exactly when its class has one member) read the orbits. The canonical
+    order is built on first read of `subgroups` (by size, then by sorted
+    member tuple) or `classes` (each orbit as sorted indices, orbits ordered
+    by their smallest index, the representative), so a caller that reads
+    only the two counts never sorts.
     """
 
-    def __init__(self, subgroups: list[SubgroupSet], classes: list[tuple[int, ...]]):
-        self.subgroups = subgroups
-        self.classes = classes
-        self.normal_count = sum(len(cls) == 1 for cls in classes)
+    def __init__(self, order: int, orbits: list[set[int]]):
+        self._order, self._orbits = order, orbits
+        self.normal_count = sum(len(orbit) == 1 for orbit in orbits)
 
     def __len__(self) -> int:
-        return len(self.subgroups)
+        return sum(map(len, self._orbits))
+
+    @cached_property
+    def subgroups(self) -> list[SubgroupSet]:
+        masks = sorted(chain.from_iterable(self._orbits), key=_canonical_key(self._order))
+        return [SubgroupSet(m) for m in masks]
+
+    @cached_property
+    def classes(self) -> list[tuple[int, ...]]:
+        position = {s.mask: i for i, s in enumerate(self.subgroups)}
+        return sorted(tuple(sorted(map(position.__getitem__, orbit))) for orbit in self._orbits)
 
 
 def _power_map(mul: np.ndarray, e: int) -> list[int]:
@@ -127,13 +136,15 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
     one left coset gH = Hg at a time, as each element of gH gives what g
     gives; N(H) is G for a one-member class, else the g that conjugate each
     generator of H into H. It skips each coset with no g^p in H, as for g in
-    N(H) (gh)^p is in g^p H. This reaches exactly the subgroups with a chain
-    of normal prime-index steps up from 1, so it reaches G exactly when G is
-    solvable. Otherwise a second pass takes <H, g> for g outside N(H),
-    skipping the double coset HgH one left coset hgH at a time, for every
-    representative (walking N(H) first for those it finds); it is complete,
-    as every subgroup K > 1 is <M, g> for any maximal M < K and any g in K
-    outside M.
+    N(H) (gh)^p is in g^p H. Once it reaches K, it skips every K' in K's
+    class with H <= K': each g' in N(H) inside K' outside H gives a subgroup
+    H<g'> of K' above H, and [K' : H] = p is prime, so H<g'> = K', already
+    registered. This reaches exactly the subgroups with a chain of normal
+    prime-index steps up from 1, so it reaches G exactly when G is solvable.
+    Otherwise a second pass takes <H, g> for g outside N(H), skipping the
+    double coset HgH one left coset hgH at a time, for every representative
+    (walking N(H) first for those it finds); it is complete, as every
+    subgroup K > 1 is <M, g> for any maximal M < K and any g in K outside M.
     """
     n = G.order
     rows = G.rows
@@ -145,11 +156,11 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
         for g, h in enumerate(power):
             roots[h] |= bit(g)
     full = (1 << n) - 1
-    found: set[int] = set()
+    orbit_of: dict[int, set[int]] = {}  # mask -> its conjugacy orbit
     orbits: list[set[int]] = []
     reps: list[tuple[int, list[int], tuple[int, ...], int]] = []
 
-    def register(mask: int, elems: list[int], gens: tuple[int, ...]) -> None:
+    def register(mask: int, elems: list[int], gens: tuple[int, ...]) -> set[int]:
         # <gens> is normal when each kept conjugation maps each of gens into it
         if all(mask >> perm[g] & 1 for perm in perms for g in gens):
             orbit, norm = {mask}, full
@@ -158,14 +169,15 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
             in_h[elems] = True
             norm = _mask_of(in_h[G.mul[G.mul[:, list(gens)], G.inv[:, None]]].all(axis=1))
             orbit = _conjugates(elems, perms, bit, n // norm.bit_count())
-        found.update(orbit)
+        orbit_of.update(dict.fromkeys(orbit, orbit))
         orbits.append(orbit)
         reps.append((mask, elems, gens, norm))
+        return orbit
 
     register(1, [0], ())
     walked = 0
     for general in (False, True):
-        if full in found:
+        if full in orbit_of:
             break
         for i, (mask, elems, gens, norm) in enumerate(reps):  # the list grows while it is walked
             # the cosets gH in N(H) outside H with g^p in H, in one pass only
@@ -184,27 +196,24 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
                             coset = list(map(rows[x].__getitem__, elems))
                             ext += coset
                             skip |= sum(map(bit, coset))
-                        if skip | mask not in found:
-                            register(skip | mask, elems + ext, gens + (g,))
+                        k = skip | mask
+                        orbit = orbit_of.get(k) or register(k, elems + ext, gens + (g,))
+                        if len(orbit) > 1:  # K's class members above H, K among them
+                            skip = reduce(or_, [c for c in orbit if c & mask == mask])
                         break
                 rest &= ~skip
             rest = full ^ norm if general else 0  # G outside N(H)
             while rest:
                 g = (rest & -rest).bit_length() - 1
                 k = closure(rows, gens + (g,))[0]
-                if k not in found:
-                    register(k, _mask_elements(k), gens + (g,))
+                if k not in orbit_of:
+                    register(k, SubgroupSet(k).elements(), gens + (g,))
                 for h in elems:  # HgH, one left coset hgH at a time
                     x = rows[h][g]
                     if rest >> x & 1:
                         rest &= ~sum(map(bit, map(rows[x].__getitem__, elems)))
         walked = len(reps)
-
-    masks = sorted(found, key=_canonical_key(n))
-    position = {m: i for i, m in enumerate(masks)}
-    classes = sorted(tuple(sorted(position[m] for m in orbit)) for orbit in orbits)
-    subgroups = [SubgroupSet(m) for m in masks]
-    return SubgroupLattice(subgroups, classes)
+    return SubgroupLattice(n, orbits)
 
 
 def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from normdeg.degrees import ndeg_brute, sd_brute
 from normdeg.errors import CapExceededError, ConstraintError
 from normdeg.explorer import (
     VERIFY_FAMILIES,
+    _by_power,
     catalog_specs,
     conjecture_witness_rows,
     default_ranges,
@@ -64,6 +66,20 @@ class TestDegreeReport:
             degree_report(parse_spec("C(600)"), method, sd=True, cap=100)
         with pytest.raises(AssertionError, match="table built"):
             degree_report(parse_spec("C(60)"), method, sd=True, cap=100)
+
+    # the brute route and the verify grids read only len() and normal_count,
+    # which come from the conjugacy orbits without the canonical sort
+    def test_counts_need_no_canonical_order(self, monkeypatch):
+        def key(n):
+            raise AssertionError("canonical order built")
+
+        monkeypatch.setattr("normdeg.lattice._canonical_key", key)
+        report = degree_report(parse_spec("Sym(4)"), method="brute")
+        assert (report.lattice_size, report.normal_count) == (30, 4)
+        rows, skipped = verify_grid("dihedral", {"n": (3, 12)})
+        assert len(rows) == 20 and all(r.ok for r in rows) and skipped == 0
+        with pytest.raises(AssertionError, match="canonical order built"):
+            degree_report(parse_spec("Sym(4)"), method="conjugacy")
 
 
 class TestDensitySequence:
@@ -156,6 +172,14 @@ class TestConjectureSearch:
                     if nd == Fraction(a, a + 1):
                         found.append((q ** n, f"M({q},{n})"))
             assert mpn_witnesses(a) == [spec for _, spec in sorted(found)], a
+
+    # 2^301994 and 3^190537 differ by a factor 2^(9.3e-8): their keys
+    # n log2 q agree to 3e-13, so the order comes from the powers themselves;
+    # 3^2 and 2^3 are ordered by their keys alone
+    @pytest.mark.parametrize("q1, n1, q2, n2", [(2, 301994, 3, 190537), (3, 2, 2, 3)])
+    def test_near_tied_witnesses_compare_exactly(self, q1, n1, q2, n2):
+        x, y = (n1 * math.log2(q1), q1, n1), (n2 * math.log2(q2), q2, n2)
+        assert _by_power(x, y) == -_by_power(y, x) == (q1 ** n1 > q2 ** n2) - (q1 ** n1 < q2 ** n2)
 
     def test_witnesses_actually_hit_the_target(self):
         for a in range(1, 12):

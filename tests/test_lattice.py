@@ -5,8 +5,9 @@ every subset of a group of order <= 16 for closure. A closure oracle grows
 subgroups one element at a time up to a fixed point and forms classes by
 conjugating with every element of G; it pins masks, canonical order,
 classes and the normal count on the order-32 catalog, on the non-solvable
-Sym(5), on three groups of order 72 to 105 and on three 2-groups of order
-64 with classes of 16 to 32 conjugates. SHA-256 digests pin the masks, the
+Sym(5), on three groups of order 72 to 105, on three 2-groups of order
+64 with classes of 16 to 32 conjugates and on two metacyclic groups with
+classes of 19 and 31 conjugates. SHA-256 digests pin the masks, the
 classes and the normal flags read off them on every group of the
 benchmark's compute and sd corpora, up to order 512.
 """
@@ -193,10 +194,12 @@ class TestEnumeration:
     # second pass over G outside N(H); three larger groups of two or three
     # primes, where the first pass skips half or more of the cosets gH in
     # N(H), those with no g^p in H; and three 2-groups of order 64 whose
-    # conjugacy orbits stop at |G : N(H)| = 16 or 32 masks
+    # conjugacy orbits stop at |G : N(H)| = 16 or 32 masks; two metacyclic
+    # groups whose classes of 31 and 19 conjugates the walk of N(H) skips
+    # whole, once it reaches one member above H
     @pytest.mark.parametrize("spec", [spec for spec, _ in catalog_specs(32)]
                              + ["Sym(5)", "Sym(4) x C(3)", "SDP(3,28,9)", "ZM(7,3,2) x C(5)",
-                                "Dih(32)", "SD(6)", "Q(6)"])
+                                "Dih(32)", "SD(6)", "Q(6)", "ZM(31,5,2)", "ZM(19,9,4)"])
     def test_matches_closure_oracle(self, spec):
         G = build(spec)
         lat = enumerate_subgroups(G)
@@ -265,6 +268,14 @@ class TestEnumeration:
     def test_non_solvable_product_counts(self):
         lat = enumerate_subgroups(build("Sym(5) x C(2)"))
         assert (len(lat), len(lat.classes), lat.normal_count) == (535, 57, 7)
+
+    # order 4096: the walk of N(H) meets one member of each class above H and
+    # skips the rest, so it converts few table rows (2059 and 1035 without)
+    @pytest.mark.parametrize("spec, subgroups", [("Dih(2048)", 4107), ("Q(12)", 2059)])
+    def test_walk_converts_few_table_rows(self, spec, subgroups):
+        G = build(spec)
+        assert len(enumerate_subgroups(G)) == subgroups
+        assert len(G.rows) <= 64
 
 
 @st.composite

@@ -5,8 +5,8 @@ brute force over the full lattice, the conjugacy-class route via
 normalizer indices, and (for coprime direct products) multiplicativity.
 sd has one route, `sd_brute`: two float32 products over the 0/1 subgroup
 membership matrix test each non-normal class against every subgroup.
-Every route but the coprime product reads a lattice its caller enumerated,
-so one lattice serves them all.
+Every route but the coprime product reads the conjugacy orbits of a lattice
+its caller enumerated, as they come: one unsorted lattice serves them all.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import ConstraintError
 from .groups import GroupTable
-from .lattice import SubgroupLattice, normalizer
+from .lattice import SubgroupLattice, membership, normalizer
 from .numtheory import factorize, format_ratio
 
 METHODS = ("brute", "conjugacy", "formula", "product")
@@ -85,14 +85,11 @@ def ndeg_brute(G: GroupTable, lattice: SubgroupLattice,
 
 def ndeg_conjugacy(G: GroupTable, lattice: SubgroupLattice,
                    spec_text: str | None = None) -> DegreeReport:
-    """Same value through class representatives and normalizer indices."""
-    normal = lattice.normal_count
-    denom = normal
-    for cls in lattice.classes:
-        if len(cls) > 1:
-            rep = lattice.subgroups[cls[0]]
-            denom += G.order // normalizer(G, rep).size
-    return _route_report(G, spec_text, denom, normal, "conjugacy")
+    """Same value through class representatives: each orbit of more than one
+    mask H counts |G : N(H)|, N(H) found afresh, so a split orbit shows."""
+    reps = [max(orbit) for orbit in lattice.orbits if len(orbit) > 1]
+    denom = lattice.normal_count + sum(G.order // m.bit_count() for m in normalizer(G, reps))
+    return _route_report(G, spec_text, denom, lattice.normal_count, "conjugacy")
 
 
 def sd_brute(G: GroupTable, lattice: SubgroupLattice) -> Fraction:
@@ -109,19 +106,20 @@ def sd_brute(G: GroupTable, lattice: SubgroupLattice) -> Fraction:
       each class member commutes with as many K as its representative:
       only that one is tested, weighted by the class size.
 
-    M is the k x n 0/1 membership matrix, unpacked in blocks of rows that
-    are multiplied while in cache: M[reps] M^T gives |H meet S|, so H <= S,
-    for each tested H; M[cols] M^T gives K <= S for the S above some H. The
-    least |S : K| over the S above H and K is |<H, K> : K|. Every value is
-    an integer of at most n < 2^24 (any table in memory): exact in float32.
+    M is the k x n 0/1 membership matrix, the non-normal representatives
+    (each orbit's largest mask) first, unpacked in blocks of rows multiplied
+    while in cache: M[reps] M^T gives |H meet S|, so H <= S, for each tested
+    H; M[cols] M^T gives K <= S for the S above some H. The least |S : K|
+    over the S above H and K is |<H, K> : K|. Every value is an integer of
+    at most n < 2^24 (any table in memory): exact in float32.
     """
     k, m = len(lattice), len(lattice) - lattice.normal_count
     if not m:
         return Fraction(1)
-    width = (G.order + 7) // 8
-    packed = np.frombuffer(b"".join([s.mask.to_bytes(width, "little")
-                                     for s in lattice.subgroups]), np.uint8).reshape(k, width)
-    rows = np.unpackbits(packed, axis=1, count=G.order, bitorder="little")  # M, as uint8
+    multi = [orbit for orbit in lattice.orbits if len(orbit) > 1]
+    reps = [max(orbit) for orbit in multi]  # top masks share supergroups: fewer columns
+    masks = reps + list(set(chain(*lattice.orbits)).difference(reps))
+    rows = membership(masks, G.order)  # M, as uint8
     step = max(1, (1 << 20) // G.order)  # 4 MB float32 blocks of M
 
     def meets(picked):  # M[picked] M^T: |A meet S| for each picked A and every S
@@ -129,17 +127,15 @@ def sd_brute(G: GroupTable, lattice: SubgroupLattice) -> Fraction:
         return np.concatenate([left @ rows[i:i + step].astype(np.float32).T
                                for i in range(0, k, step)], axis=1)
 
-    sizes = np.array([s.size for s in lattice.subgroups], np.float32)
-    multi = [cls for cls in lattice.classes if len(cls) > 1]
-    reps = [cls[0] for cls in multi]
-    size_h = sizes[reps, None]
-    meet = meets(reps)
+    sizes = np.array([mask.bit_count() for mask in masks], np.float32)
+    size_h = sizes[:len(reps), None]
+    meet = meets(slice(len(reps)))
     over = meet == size_h
     cols = over.any(axis=0).nonzero()[0]
     index = np.where(meets(cols) == sizes, sizes[cols, None] / sizes, np.inf)  # |S : K| if K <= S
     join = np.array([index[above].min(axis=0) for above in over[:, cols]])  # |<H, K> : K|
     hits = (join == size_h / meet).sum(axis=1)
-    return Fraction(k * (k - m) + int(hits @ [len(cls) for cls in multi]), k * k)
+    return Fraction(k * (k - m) + int(hits @ list(map(len, multi))), k * k)
 
 
 def pgroup_bound_check(G: GroupTable, lattice: SubgroupLattice) -> tuple[Fraction, bool]:
@@ -155,7 +151,7 @@ def pgroup_bound_check(G: GroupTable, lattice: SubgroupLattice) -> tuple[Fractio
         )
     p = fac[0][0]
     normal = lattice.normal_count
-    multi = sum(1 for cls in lattice.classes if len(cls) > 1)
+    multi = sum(len(orbit) > 1 for orbit in lattice.orbits)
     bound = Fraction(normal, normal + p * multi)
     ndeg = Fraction(normal, len(lattice))
     return bound, ndeg <= bound
@@ -171,17 +167,10 @@ def ndeg_coprime_product(parts: list[DegreeReport]) -> DegreeReport:
                 "coprime product needs pairwise coprime orders",
                 f"{a.spec} (order {a.order}) and {b.spec} (order {b.order})",
             )
-    order = 1
-    lattice_size = 1
-    normal = 1
-    for part in parts:
-        order *= part.order
-        lattice_size *= part.lattice_size
-        normal *= part.normal_count
     return DegreeReport(
         spec=" x ".join(part.spec for part in parts),
-        order=order,
-        lattice_size=lattice_size,
-        normal_count=normal,
+        order=math.prod(part.order for part in parts),
+        lattice_size=math.prod(part.lattice_size for part in parts),
+        normal_count=math.prod(part.normal_count for part in parts),
         method="product",
     )

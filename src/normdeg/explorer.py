@@ -230,7 +230,7 @@ def _abelian2_checks(p: int, a1: int, a2: int) -> list[tuple[str, int]]:
 
 
 def _abelian2_brute(lat, p: int, a1: int, a2: int) -> list[int]:
-    per = Counter(s.size for s in lat.subgroups)
+    per = Counter(mask.bit_count() for orbit in lat.orbits for mask in orbit)
     return [per[p ** k] for k in range(a1 + a2 + 1)] + [len(lat)]
 
 

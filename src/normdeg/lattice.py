@@ -1,16 +1,12 @@
-"""Subgroup lattice enumeration and normality structure.
+"""Subgroup lattice enumeration and normalizers.
 
-Subgroups are bitsets over element ids (Python ints); masks are built in C
-as `sum(map(bit, elems))`. Enumeration is cyclic extension (Neubueser 1960)
-over conjugacy-class representatives H, each kept with its element list:
-<H, g> is tried once per left coset gH inside N(H) with g^p in H (and,
-for non-solvable groups, once per double coset HgH outside N(H)), and its
-whole class is registered at once by conjugation under the non-central
-generators of G, stopping at |G : N(K)| conjugates, unless those map its
-generators into it. Once the walk of N(H) reaches K = H<g>, it skips K's
-whole class above H: g' in N(H) inside K' outside H gives H < H<g'> <= K',
-and [K' : H] = p is prime, so H<g'> = K'. The walks read only the table
-rows (`rows[g][x]` is g*x) of the elements they multiply by.
+Subgroups are bitsets over element ids (Python ints). `enumerate_subgroups`
+finds them by cyclic extension (Neubueser 1960) and returns them as their
+conjugacy orbits, which every degree route reads as they come; the canonical
+order exists only for `SubgroupLattice.subgroups`. Enumeration reads only
+the table rows (`rows[g][x]` is g*x) it multiplies by, and builds masks in C
+as `sum(map(bit, elems))`. `normalizer` computes N(H) afresh for many H at
+once, apart from the enumerator's own N(H).
 """
 
 from __future__ import annotations
@@ -33,10 +29,6 @@ class SubgroupSet:
     """One subgroup as a bitset; bit i set means element i belongs."""
 
     mask: int
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
 
     def elements(self) -> list[int]:
         return [i for i, b in enumerate(format(self.mask, "b")[::-1]) if b == "1"]
@@ -78,30 +70,23 @@ def _conjugates(elems: list[int], perms: list[list[int]], bit, size: int) -> set
 class SubgroupLattice:
     """Every subgroup of a group of order `order`, held as its conjugacy orbits of masks.
 
-    `len()` and `normal_count` (the one-member classes: a subgroup is normal
-    exactly when its class has one member) read the orbits. The canonical
-    order is built on first read of `subgroups` (by size, then by sorted
-    member tuple) or `classes` (each orbit as sorted indices, orbits ordered
-    by their smallest index, the representative), so a caller that reads
-    only the two counts never sorts.
+    `len()`, `normal_count` (the one-member orbits: a subgroup is normal
+    exactly when its class has one member) and the degree routes read
+    `orbits`; only `subgroups`, in canonical order (by size, then by sorted
+    member tuple), sorts, on its first read.
     """
 
     def __init__(self, order: int, orbits: list[set[int]]):
-        self._order, self._orbits = order, orbits
+        self._order, self.orbits = order, orbits
         self.normal_count = sum(len(orbit) == 1 for orbit in orbits)
 
     def __len__(self) -> int:
-        return sum(map(len, self._orbits))
+        return sum(map(len, self.orbits))
 
     @cached_property
     def subgroups(self) -> list[SubgroupSet]:
-        masks = sorted(chain.from_iterable(self._orbits), key=_canonical_key(self._order))
+        masks = sorted(chain.from_iterable(self.orbits), key=_canonical_key(self._order))
         return [SubgroupSet(m) for m in masks]
-
-    @cached_property
-    def classes(self) -> list[tuple[int, ...]]:
-        position = {s.mask: i for i, s in enumerate(self.subgroups)}
-        return sorted(tuple(sorted(map(position.__getitem__, orbit))) for orbit in self._orbits)
 
 
 def _power_map(mul: np.ndarray, e: int) -> list[int]:
@@ -216,10 +201,36 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
     return SubgroupLattice(n, orbits)
 
 
-def normalizer(G: GroupTable, H: SubgroupSet) -> SubgroupSet:
-    """Largest subgroup in which H is normal, computed per definition."""
-    in_h = np.zeros(G.order, dtype=bool)
-    in_h[H.elements()] = True
-    conj = G.mul[G.mul[:, in_h], G.inv[:, None]]  # row g: g h g^-1 for h in H
-    return SubgroupSet(_mask_of(in_h[conj].all(axis=1)))
+def membership(masks: list[int], n: int) -> np.ndarray:
+    """The 0/1 uint8 matrix whose row i holds the n bits of masks[i]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([m.to_bytes(width, "little") for m in masks]), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
 
+
+def normalizer(G: GroupTable, masks: list[int]) -> list[int]:
+    """The mask of N(H) = {g : g H g^-1 = H} for each subgroup mask H.
+
+    Each H gets generators greedily from its own elements by `closure` (the
+    identity for H = 1, so no H is left without one), and N(H) holds the g
+    with g x g^-1 in H for each of them: every g is tested against every
+    (H, generator) pair in a few numpy calls per block of at most 2^19 pairs.
+    """
+    owner, pairs, starts = [], [], []
+    for i, mask in enumerate(masks):
+        gens, seen = [], 1
+        while seen != mask:  # add H's least element outside <gens>
+            rest = mask & ~seen
+            gens.append((rest & -rest).bit_length() - 1)
+            seen = closure(G.rows, gens)[0]
+        starts.append(len(pairs))
+        pairs += gens or [0]
+        owner += [i] * (len(pairs) - starts[-1])
+    member = membership(masks, G.order).view(bool)
+    step = max(1, (1 << 19) // max(1, len(pairs)))
+    blocks = [np.logical_and.reduceat(member[owner, G.mul[G.mul[g:g + step, pairs],  # g x g^-1
+                                                          G.inv[g:g + step, None]]], starts, axis=1)
+              for g in range(0, G.order, step)]
+    width = (G.order + 7) // 8
+    packed = np.packbits(np.concatenate(blocks).T, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i:i + width], "little") for i in range(0, len(packed), width)]

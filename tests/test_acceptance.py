@@ -39,6 +39,8 @@ from normdeg.groups import build
 from normdeg.lattice import enumerate_subgroups, normalizer
 from normdeg.numtheory import factorize
 
+from lattice_classes import classes
+
 
 VERDICTS: list[str] = []
 
@@ -142,8 +144,9 @@ def test_acceptance_3_structural_invariants():
     for spec in CORPUS:
         G = build(spec)
         lat = enumerate_subgroups(G)
-        fix_conj = {cls[0] for cls in lat.classes if len(cls) == 1}
-        fix_norm = {i for i, s in enumerate(lat.subgroups) if normalizer(G, s).size == G.order}
+        fix_conj = {cls[0] for cls in classes(lat) if len(cls) == 1}
+        norms = normalizer(G, [s.mask for s in lat.subgroups])
+        fix_norm = {i for i, m in enumerate(norms) if m.bit_count() == G.order}
         if not (fix_conj == fix_norm and len(fix_norm) == lat.normal_count):
             problems.append((spec, "fixed-point sets differ"))
         nd = ndeg_brute(G, lat).ndeg

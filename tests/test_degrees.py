@@ -25,8 +25,10 @@ from normdeg.cli import main
 from normdeg.errors import ConstraintError
 from normdeg.explorer import catalog_specs
 from normdeg.groups import build
-from normdeg.lattice import enumerate_subgroups
+from normdeg.lattice import SubgroupLattice, enumerate_subgroups
 from normdeg.numtheory import format_ratio
+
+from lattice_classes import classes
 
 
 def lattice_of(spec: str):
@@ -78,6 +80,18 @@ class TestKnownDegrees:
     def test_conjugacy_route_agrees(self, spec):
         G, lat = lattice_of(spec)
         assert ndeg_conjugacy(G, lat).ndeg == ndeg_brute(G, lat).ndeg
+
+    def test_conjugacy_route_catches_a_split_orbit(self):
+        # Sym(3)'s class of three order-2 subgroups, held as orbits of two
+        # and one: brute force counts the lone one as normal (4 of 6), the
+        # conjugacy route adds |G : N(H)| = 3 for the pair (4 of 4 + 3)
+        G, lat = lattice_of("Sym(3)")
+        [reflections] = [orbit for orbit in lat.orbits if len(orbit) == 3]
+        one = max(reflections)
+        split = SubgroupLattice(G.order, [orbit for orbit in lat.orbits if orbit is not reflections]
+                                + [reflections - {one}, {one}])
+        assert ndeg_brute(G, split).ndeg == Fraction(2, 3)
+        assert ndeg_conjugacy(G, split).ndeg == Fraction(4, 7)
 
     def test_report_consistency_validated(self):
         report = DegreeReport(spec="x", order=6, lattice_size=6, normal_count=3)
@@ -195,7 +209,7 @@ class TestPGroupBound:
         assert 0 < bound <= 1
         # the prime comes from the group order
         normal = lat.normal_count
-        multi = sum(1 for cls in lat.classes if len(cls) > 1)
+        multi = sum(1 for cls in classes(lat) if len(cls) > 1)
         assert bound == Fraction(normal, normal + p * multi)
 
     def test_rejects_non_p_group(self):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from normdeg.degrees import ndeg_brute, sd_brute
+from normdeg.degrees import ndeg_brute, pgroup_bound_check, sd_brute
 from normdeg.errors import CapExceededError, ConstraintError
 from normdeg.explorer import (
     VERIFY_FAMILIES,
@@ -67,8 +67,8 @@ class TestDegreeReport:
         with pytest.raises(AssertionError, match="table built"):
             degree_report(parse_spec("C(60)"), method, sd=True, cap=100)
 
-    # the brute route and the verify grids read only len() and normal_count,
-    # which come from the conjugacy orbits without the canonical sort
+    # every route, sd and the p-group bound read len(), normal_count and
+    # the conjugacy orbits, never the canonical sort
     def test_counts_need_no_canonical_order(self, monkeypatch):
         def key(n):
             raise AssertionError("canonical order built")
@@ -78,8 +78,12 @@ class TestDegreeReport:
         assert (report.lattice_size, report.normal_count) == (30, 4)
         rows, skipped = verify_grid("dihedral", {"n": (3, 12)})
         assert len(rows) == 20 and all(r.ok for r in rows) and skipped == 0
-        with pytest.raises(AssertionError, match="canonical order built"):
-            degree_report(parse_spec("Sym(4)"), method="conjugacy")
+        rows, skipped = verify_grid("abelian2", {"p": (2, 2), "asum": (2, 4)})
+        assert rows and all(r.ok for r in rows) and skipped == 0
+        report = degree_report(parse_spec("Sym(4)"), method="conjugacy", sd=True)
+        assert (report.lattice_size, report.normal_count, report.sd) == (30, 4, Fraction(17, 30))
+        G = build("Dih(4)")
+        assert pgroup_bound_check(G, enumerate_subgroups(G)) == (Fraction(6, 10), True)
 
 
 class TestDensitySequence:

@@ -20,6 +20,7 @@ from functools import reduce
 from itertools import combinations
 from operator import and_
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,10 +32,14 @@ from normdeg.lattice import (
     SubgroupSet,
     _canonical_key,
     _conjugation_perms,
+    _mask_of,
     enumerate_subgroups,
     normalizer,
 )
 from normdeg.numtheory import divisors
+
+from lattice_classes import classes
+from test_acceptance import CORPUS
 
 
 def subsets_that_are_subgroups(G) -> set[int]:
@@ -79,7 +84,7 @@ def conjugate_masks(G, mask: int) -> list[int]:
 def normal_flags(lat) -> list[bool]:
     """Per subgroup, whether it is normal: whether its class has one member."""
     flags = [False] * len(lat)
-    for cls in lat.classes:
+    for cls in classes(lat):
         if len(cls) == 1:
             flags[cls[0]] = True
     return flags
@@ -87,8 +92,16 @@ def normal_flags(lat) -> list[bool]:
 
 def class_core(lat, size: int) -> int:
     """Mask of the intersection of the one class of subgroups of this size."""
-    cls = next(c for c in lat.classes if lat.subgroups[c[0]].size == size)
+    cls = next(c for c in classes(lat) if lat.subgroups[c[0]].mask.bit_count() == size)
     return reduce(and_, (lat.subgroups[i].mask for i in cls))
+
+
+def normalizer_by_definition(G, mask: int) -> int:
+    """Mask of the g with g h g^-1 in H for every h in H, one n x |H| table."""
+    in_h = np.zeros(G.order, dtype=bool)
+    in_h[SubgroupSet(mask).elements()] = True
+    conj = G.mul[G.mul[:, in_h], G.inv[:, None]]  # row g: g h g^-1 for h in H
+    return _mask_of(in_h[conj].all(axis=1))
 
 
 def lattice_by_closure(G) -> tuple[list[int], set[frozenset[int]]]:
@@ -203,26 +216,26 @@ class TestEnumeration:
     def test_matches_closure_oracle(self, spec):
         G = build(spec)
         lat = enumerate_subgroups(G)
-        masks, classes = lattice_by_closure(G)
+        masks, oracle = lattice_by_closure(G)
         assert [s.mask for s in lat.subgroups] == masks
-        assert {frozenset(masks[i] for i in cls) for cls in lat.classes} == classes
-        assert lat.normal_count == sum(frozenset([m]) in classes for m in masks)
+        assert {frozenset(masks[i] for i in cls) for cls in classes(lat)} == oracle
+        assert lat.normal_count == sum(frozenset([m]) in oracle for m in masks)
 
     @pytest.mark.parametrize("spec, digest", LATTICE_DIGESTS.items())
     def test_pinned_lattice_digests(self, spec, digest):
         lat = enumerate_subgroups(build(spec))
-        text = repr(([s.mask for s in lat.subgroups], lat.classes, normal_flags(lat)))
+        text = repr(([s.mask for s in lat.subgroups], classes(lat), normal_flags(lat)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_canonical_order_and_determinism(self):
         G = build("Dih(6)")
         a = enumerate_subgroups(G)
         b = enumerate_subgroups(build("Dih(6)"))
-        assert [(s.size, s.mask) for s in a.subgroups] == \
-               [(s.size, s.mask) for s in b.subgroups]
-        sizes = [s.size for s in a.subgroups]
+        assert [(s.mask.bit_count(), s.mask) for s in a.subgroups] == \
+               [(s.mask.bit_count(), s.mask) for s in b.subgroups]
+        sizes = [s.mask.bit_count() for s in a.subgroups]
         assert sizes == sorted(sizes)
-        assert a.classes == b.classes
+        assert classes(a) == classes(b)
 
     def test_trivial_and_full_present(self):
         G = build("SDP(3,7,2)")
@@ -234,13 +247,13 @@ class TestEnumeration:
         G = build("Sym(4)")
         lat = enumerate_subgroups(G)
         for s in lat.subgroups:
-            assert G.order % s.size == 0
+            assert G.order % s.mask.bit_count() == 0
 
     def test_orbit_sizes_sum_to_lattice_size(self):
         G = build("Sym(4)")
         lat = enumerate_subgroups(G)
-        assert sum(len(c) for c in lat.classes) == len(lat.subgroups)
-        singles = [c for c in lat.classes if len(c) == 1]
+        assert sum(len(c) for c in classes(lat)) == len(lat.subgroups)
+        singles = [c for c in classes(lat) if len(c) == 1]
         assert len(singles) == lat.normal_count
 
     def test_known_counts(self):
@@ -251,12 +264,12 @@ class TestEnumeration:
 
     # subgroups (OEIS A005432) and conjugacy classes (A000638) of Sym(n);
     # Sym(5) is not solvable, so A5 is only reached through non-normal steps
-    @pytest.mark.parametrize("n, subgroups, classes", [
+    @pytest.mark.parametrize("n, subgroups, class_count", [
         (1, 1, 1), (2, 2, 2), (3, 6, 4), (4, 30, 11), (5, 156, 19),
     ])
-    def test_symmetric_group_counts(self, n, subgroups, classes):
+    def test_symmetric_group_counts(self, n, subgroups, class_count):
         lat = enumerate_subgroups(build(f"Sym({n})"))
-        assert (len(lat), len(lat.classes)) == (subgroups, classes)
+        assert (len(lat), len(lat.orbits)) == (subgroups, class_count)
 
     # subspaces of GF(2)^k (OEIS A006116)
     @pytest.mark.parametrize("k, subgroups", [
@@ -267,7 +280,7 @@ class TestEnumeration:
 
     def test_non_solvable_product_counts(self):
         lat = enumerate_subgroups(build("Sym(5) x C(2)"))
-        assert (len(lat), len(lat.classes), lat.normal_count) == (535, 57, 7)
+        assert (len(lat), len(lat.orbits), lat.normal_count) == (535, 57, 7)
 
     # order 4096: the walk of N(H) meets one member of each class above H and
     # skips the rest, so it converts few table rows (2059 and 1035 without)
@@ -316,7 +329,7 @@ class TestConjugationPerms:
     def test_is_normal_and_core_by_definition(self, spec):
         G = build(spec)
         lat = enumerate_subgroups(G)
-        for cls in lat.classes:
+        for cls in classes(lat):
             core = reduce(and_, (lat.subgroups[i].mask for i in cls))
             for i in cls:
                 conjugates = conjugate_masks(G, lat.subgroups[i].mask)
@@ -328,8 +341,8 @@ class TestGeneratedSubgroup:
     def test_cyclic_part_of_dihedral(self):
         G = build("Dih(6)")
         rot = SubgroupSet(closure(G.rows, [1])[0])
-        assert (rot.mask, rot.size) == (0b111111, 6)
-        assert normalizer(G, rot).size == G.order
+        assert rot.mask == 0b111111
+        assert normalizer(G, [rot.mask]) == [(1 << G.order) - 1]
 
     def test_empty_seed_gives_trivial(self):
         G = build("Sym(3)")
@@ -345,10 +358,10 @@ class TestNormalityStructure:
         G = build("Dih(4)")
         lat = enumerate_subgroups(G)
         refl = next(s for s, normal in zip(lat.subgroups, normal_flags(lat))
-                    if s.size == 2 and not normal)
-        norm = normalizer(G, refl)
-        assert norm.size == 4
-        assert refl.mask & norm.mask == refl.mask
+                    if s.mask.bit_count() == 2 and not normal)
+        [norm] = normalizer(G, [refl.mask])
+        assert norm.bit_count() == 4
+        assert refl.mask & norm == refl.mask
 
     def test_core_of_sylow2_in_sym4(self):
         lat = enumerate_subgroups(build("Sym(4)"))
@@ -363,25 +376,45 @@ class TestNormalityStructure:
     def test_normalizer_index_is_class_size(self):
         G = build("Sym(4)")
         lat = enumerate_subgroups(G)
-        for cls in lat.classes:
-            rep = lat.subgroups[cls[0]]
-            assert G.order // normalizer(G, rep).size == len(cls)
+        for cls in classes(lat):
+            [norm] = normalizer(G, [lat.subgroups[cls[0]].mask])
+            assert G.order // norm.bit_count() == len(cls)
 
     def test_class_of_conjugate_masks(self):
         G = build("Sym(3)")
         lat = enumerate_subgroups(G)
-        two = [i for i, s in enumerate(lat.subgroups) if s.size == 2]
+        two = [i for i, s in enumerate(lat.subgroups) if s.mask.bit_count() == 2]
         assert len(two) == 3
-        assert tuple(two) in lat.classes
+        assert tuple(two) in classes(lat)
 
     def test_fix_points_agree_with_normal_set(self):
         for spec in ("Sym(4)", "Dih(6)", "Q(4)", "SDP(3,7,2)", "ZM(5,4,2)"):
             G = build(spec)
             lat = enumerate_subgroups(G)
-            fix_conj = {cls[0] for cls in lat.classes if len(cls) == 1}
-            fix_norm = {i for i, s in enumerate(lat.subgroups) if normalizer(G, s).size == G.order}
+            fix_conj = {cls[0] for cls in classes(lat) if len(cls) == 1}
+            norms = normalizer(G, [s.mask for s in lat.subgroups])
+            fix_norm = {i for i, m in enumerate(norms) if m.bit_count() == G.order}
             assert fix_conj == fix_norm
             assert len(fix_norm) == lat.normal_count
+
+
+# the groups of the benchmark's sd corpus
+SD_CORPUS = ["Sym(5)", "Dih(128)", "SD(9)", "Dih(8) x C(2) x C(2)", "EA(2,5)",
+             "Dih(4) x Dih(4)", "EA(3,4)", "Sym(4) x C(2)"]
+
+
+class TestBatchedNormalizer:
+    # every subgroup at once, the trivial and the normal ones included; the
+    # last group's 2428 subgroups need about 7000 (H, generator) pairs, so
+    # its g come in several blocks
+    @pytest.mark.parametrize("spec", CORPUS + SD_CORPUS + ["Dih(4) x Dih(4) x C(2)"])
+    def test_matches_definition(self, spec):
+        G = build(spec)
+        masks = [m for orbit in enumerate_subgroups(G).orbits for m in orbit]
+        assert normalizer(G, masks) == [normalizer_by_definition(G, m) for m in masks]
+
+    def test_no_masks(self):
+        assert normalizer(build("Sym(3)"), []) == []
 
 
 class TestSemidirectNormalizers:
@@ -404,12 +437,12 @@ class TestSemidirectNormalizers:
             # the set really is a subgroup
             sub = next(s for s in lat.subgroups if s.mask == mask)
             eps = math.gcd(k * (k0 - 1), n)
-            assert normalizer(G, sub).size == p * eps
+            assert normalizer(G, [sub.mask])[0].bit_count() == p * eps
 
     def test_sylow_count_matches_action_kernel(self):
         for p, n, k0 in [(2, 15, 4), (3, 7, 2), (3, 28, 9)]:
             G = build(f"SDP({p},{n},{k0})")
             lat = enumerate_subgroups(G)
             d = math.gcd(k0 - 1, n)
-            sylows = [s for s in lat.subgroups if s.size == p]
+            sylows = [s for s in lat.subgroups if s.mask.bit_count() == p]
             assert len(sylows) == n // d

@@ -12,8 +12,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from normdeg.formulas import sdp_counts, semidirect_bounds
-from normdeg.groups import family_params
+from normdeg.formulas import semidirect_bounds
+from normdeg.groups import family_params, sdp_counts
 from normdeg.numtheory import format_ratio, is_prime
 
 

@@ -14,24 +14,22 @@ import sys
 from fractions import Fraction
 
 from normdeg.errors import ConstraintError
-from normdeg.formulas import Family, family_limit, ndeg_family
+from normdeg.groups import Sequence, sequence
 
-# row label and prime of each family in the race
+# row label of each sequence in the race, which runs at its default prime
 RACERS = {
-    Family.MODULAR: ("M(3^n)", 3),
-    Family.DIHEDRAL: ("Dih 2-groups", 2),
-    Family.QUATERNION: ("Q 2-groups", 2),
-    Family.SEMIDIHEDRAL: ("SD 2-groups", 2),
+    "mpn": "M(3^n)",
+    "dihedral2n": "Dih 2-groups",
+    "quaternion2n": "Q 2-groups",
+    "semidihedral2n": "SD 2-groups",
 }
 
 
-def first_crossing(family: Family, p: int, threshold: Fraction,
-                   n_limit: int) -> int | None:
-    limit = family_limit(family)
+def first_crossing(seq: Sequence, threshold: Fraction, n_limit: int) -> int | None:
     for n in range(1, n_limit + 1):
         try:
-            distance = abs(ndeg_family(family, p, n) - limit)
-        except ConstraintError:  # below the family's first member
+            distance = abs(seq.ndeg(seq.prime, n) - seq.limit)
+        except ConstraintError:  # below the sequence's first member
             continue
         if distance < threshold:
             return n
@@ -51,12 +49,13 @@ def main(argv: list[str] | None = None) -> int:
     header = "family\tlimit\t" + "\t".join(
         f"1e-{k}" for k in range(1, args.depth + 1))
     print(header)
-    for family, (label, p) in RACERS.items():
+    for name, label in RACERS.items():
+        seq = sequence(name)
         cells = []
         for k in range(1, args.depth + 1):
-            n = first_crossing(family, p, Fraction(1, 10 ** k), args.n_limit)
+            n = first_crossing(seq, Fraction(1, 10 ** k), args.n_limit)
             cells.append(str(n) if n is not None else ">limit")
-        print(f"{label}\t{family_limit(family)}\t" + "\t".join(cells))
+        print(f"{label}\t{seq.limit}\t" + "\t".join(cells))
     print("cells hold the first exponent n whose distance to the limit "
           "is below the column threshold", file=sys.stderr)
     return 0

@@ -17,7 +17,6 @@ from time import perf_counter
 from . import explorer
 from .errors import (CapExceededError, ConstraintError, SieveExhaustedError,
                      SpecParseError)
-from .formulas import Family
 from .groups import build, parse_spec  # build: read by benchmark/test_benchmark.py:84
 from .numtheory import format_ratio, parse_ratio
 
@@ -133,9 +132,7 @@ def cmd_conjecture43(args: argparse.Namespace) -> int:
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
-    family = explorer.PRIME_POWER_FAMILIES[args.family]
-    p = args.p if args.p is not None else (3 if family is Family.MODULAR else 2)
-    rows = explorer.limits_rows(family, p, args.n_max)
+    rows = explorer.limits_rows(args.family, args.p, args.n_max)
     header = ["n", "ndeg", "distance"]
     if args.decimals is not None:
         header.append("approx")
@@ -197,7 +194,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_conjecture43)
 
     p = sub.add_parser("limits", help="family degree sequence and its limit")
-    p.add_argument("--family", required=True, choices=sorted(explorer.PRIME_POWER_FAMILIES))
+    p.add_argument("--family", required=True, choices=explorer.SEQUENCES)
     p.add_argument("--p", type=int, help="prime for the modular family (default 3)")
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--decimals", type=_nonnegative_int,

@@ -3,7 +3,9 @@
 Covers the degree report of one group spec, sequences of groups whose
 normality degrees approach a rational target, witness searches for degrees
 of the form a/(a+1), formula-vs-brute verification grids, limit tables for
-the structured families, and a JSON Lines result ledger.
+the order-p**n sequences, and a JSON Lines result ledger. The catalog, the
+grids, the sequences and their limits all come from the constructor
+records in `groups._FAMILIES`; only the rank-2 abelian grid is written here.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from . import __version__
 from . import formulas as F
 from .degrees import DegreeReport, ndeg_brute, ndeg_conjugacy, sd_brute
 from .errors import CapExceededError, ConstraintError
-from .formulas import (Family, family_limit, family_member, formula_counts,
-                       ndeg_family)
-from .groups import (Constructor, GroupSpec, Product, build, family_params,
-                     parse_spec)
+from .formulas import formula_counts
+from .groups import (_FAMILIES, Constructor, GroupSpec, Product, build,
+                     family_params, parse_spec, sequence)
 from .lattice import enumerate_subgroups
 from .numtheory import divisors, nth_primes
 
@@ -96,14 +97,14 @@ def density_sequence(target: Fraction, steps: int = 20) -> list[DensitySequenceS
     out = []
     for t in range(1, steps + 1):
         if target == 0:
-            factors = [(Family.DIHEDRAL, 2, t + 2)]
+            factors = [("dihedral2n", 2, t + 2)]
         elif target == 1:
-            factors = [(Family.MODULAR, 3, t + 2)]
+            factors = [("mpn", 3, t + 2)]
         else:
-            factors = [(Family.MODULAR, p, a + i + 1) for i, p in
+            factors = [("mpn", p, a + i + 1) for i, p in
                        enumerate(primes[(t - 1) * width : t * width], start=1)]
-        nd = math.prod(ndeg_family(*factor) for factor in factors)
-        specs = tuple(family_member(*factor).render() for factor in factors)
+        nd = math.prod(sequence(name).ndeg(p, n) for name, p, n in factors)
+        specs = tuple(sequence(name).member(p, n).render() for name, p, n in factors)
         out.append(DensitySequenceStep(t, specs, nd, target, abs(nd - target)))
     return out
 
@@ -132,7 +133,7 @@ def mpn_witnesses(a: int) -> list[str]:
     for q in [d - 1 for d in divisors(a + 3) if d > 2]:
         n = q * (a + 3) // (q + 1) - 1
         try:
-            nd = ndeg_family(Family.MODULAR, q, n)
+            nd = sequence("mpn").ndeg(q, n)
         except ConstraintError:
             continue
         if nd == target:
@@ -140,27 +141,15 @@ def mpn_witnesses(a: int) -> list[str]:
     return [f"M({q},{n})" for _, q, n in sorted(found, key=cmp_to_key(_by_power))]
 
 
-# catalog order among groups of equal order
-_CATALOG_FAMILIES = ("C", "EA", "Sym", "Q", "SD", "M", "Dih", "SDP", "ZM")
-# members that repeat a group listed under an earlier family
-_CATALOG_REPEATS = {
-    "EA": lambda params: params[1] < 2,   # EA(p,1) is C(p)
-    "Sym": lambda params: params[0] < 3,  # Sym(1), Sym(2) are C(1), C(2)
-    "Dih": lambda params: params[0] < 3,  # Dih(1), Dih(2) are C(2), EA(2,2)
-}
-_EA_ORDER_LIMIT = 32  # elementary abelian lattices explode far below the cap
-
-
 def catalog_specs(order_cap: int) -> list[tuple[str, int]]:
-    """Deterministic (spec, order) catalog of single-constructor groups up to order_cap."""
+    """Deterministic (spec, order) catalog of single-constructor groups up to
+    order_cap: the members each record lists, by order, then in registry order."""
     if order_cap < 1:
         raise ConstraintError("catalog cap must be positive", f"order_cap={order_cap}")
     entries = []
-    for rank, name in enumerate(_CATALOG_FAMILIES):
-        cap = min(order_cap, _EA_ORDER_LIMIT) if name == "EA" else order_cap
-        repeats = _CATALOG_REPEATS.get(name)
-        for params in family_params(name, cap):
-            if repeats is None or not repeats(params):
+    for rank, (name, fam) in enumerate(_FAMILIES.items()):
+        for params in family_params(name, order_cap):
+            if fam.listed(params):
                 term = Constructor(name, params)
                 entries.append((term.order(), rank, params, term.render()))
     entries.sort()
@@ -234,7 +223,7 @@ def _abelian2_brute(lat, p: int, a1: int, a2: int) -> list[int]:
     return [per[p ** k] for k in range(a1 + a2 + 1)] + [len(lat)]
 
 
-class _Grid(NamedTuple):
+class _Verification(NamedTuple):
     """One verification family: the groups it walks and the closed form it checks."""
 
     ranges: dict[str, tuple[int, int]]  # default parameter ranges
@@ -246,91 +235,73 @@ class _Grid(NamedTuple):
     brute: Callable[..., list[int]] = _lattice_sizes  # the same values from the lattice
 
 
-def _prime_power_grid(name: str, ranges: dict[str, tuple[int, int]]) -> _Grid:
-    family = PRIME_POWER_FAMILIES[name]
-    return _Grid(
-        ranges,
-        lambda r: itertools.product(_range(r["p"]) if "p" in r else (2,), _range(r["n"])),
-        lambda p, n: family_member(family, p, n),
-        "p={},n={}" if "p" in ranges else "n={1}",
-        _sizes(lambda p, n: F.family_counts(family, p, n)))
+_ABELIAN2 = _Verification(
+    {"p": (2, 3), "asum": (2, 9)},
+    lambda r: ((p, a1, asum - a1) for p in _range(r["p"])
+               for asum in _range(r["asum"]) for a1 in range(1, asum // 2 + 1)),
+    lambda p, a1, a2: Product(Constructor("C", (p ** a1,)), Constructor("C", (p ** a2,))),
+    "p={},a1={},a2={}",
+    _abelian2_checks, _abelian2_brute)
 
 
-# verification family -> prime-power family, also the `limits` choices
-PRIME_POWER_FAMILIES = {"mpn": Family.MODULAR, "dihedral2n": Family.DIHEDRAL,
-                        "quaternion2n": Family.QUATERNION,
-                        "semidihedral2n": Family.SEMIDIHEDRAL}
+def _verification(family: str) -> _Verification:
+    """The verification family called family: a record's grid over its
+    parameters, a record's order-p**n sequence, or the rank-2 abelian grid."""
+    if family == "abelian2":
+        return _ABELIAN2
+    for name, fam in _FAMILIES.items():
+        grid, seq = fam.grid, fam.sequence
+        if grid is not None and grid.name == family:
+            return _Verification(grid.ranges, grid.tuples, lambda *t: Constructor(name, t),
+                                 ",".join(f"{key}={{}}" for key in fam.names),
+                                 _sizes(fam.counts))
+        if seq is not None and seq.name == family:
+            return _Verification(
+                seq.ranges,
+                lambda r: itertools.product(_range(r["p"]) if "p" in r else (seq.prime,),
+                                            _range(r["n"])),
+                seq.member, "p={},n={}" if "p" in seq.ranges else "n={1}", _sizes(seq.counts))
+    raise ConstraintError("unknown verification family", family)
 
-_GRIDS = {
-    "sdp": _Grid(
-        {"p": (2, 5), "n": (2, 40)},
-        lambda r: (t for t in family_params("SDP", r["p"][1] * r["n"][1])
-                   if t[0] in _range(r["p"]) and t[1] in _range(r["n"])),
-        lambda *t: Constructor("SDP", t),
-        "p={},n={},k0={}",
-        _sizes(F.sdp_counts)),
-    "dihedral": _Grid(
-        {"n": (3, 60)},
-        lambda r: ((n,) for n in _range(r["n"])),
-        lambda n: Constructor("Dih", (n,)),
-        "n={}",
-        _sizes(F.dihedral_counts)),
-    "zm": _Grid(
-        {"mn": (2, 300)},
-        lambda r: (t for t in family_params("ZM", r["mn"][1])
-                   if t[0] * t[1] >= r["mn"][0]),
-        lambda *t: Constructor("ZM", t),
-        "m={},n={},r={}",
-        _sizes(F.zm_counts)),
-    "mpn": _prime_power_grid("mpn", {"p": (2, 7), "n": (3, 9)}),
-    "dihedral2n": _prime_power_grid("dihedral2n", {"n": (2, 9)}),
-    "quaternion2n": _prime_power_grid("quaternion2n", {"n": (3, 9)}),
-    "semidihedral2n": _prime_power_grid("semidihedral2n", {"n": (4, 9)}),
-    "abelian2": _Grid(
-        {"p": (2, 3), "asum": (2, 9)},
-        lambda r: ((p, a1, asum - a1) for p in _range(r["p"])
-                   for asum in _range(r["asum"]) for a1 in range(1, asum // 2 + 1)),
-        lambda p, a1, a2: Product(Constructor("C", (p ** a1,)),
-                                  Constructor("C", (p ** a2,))),
-        "p={},a1={},a2={}",
-        _abelian2_checks, _abelian2_brute),
-}
 
-VERIFY_FAMILIES = tuple(_GRIDS)
+# the `verify --family` choices, in their order
+VERIFY_FAMILIES = ("sdp", "dihedral", "zm", "mpn", "dihedral2n", "quaternion2n",
+                   "semidihedral2n", "abelian2")
+# the `limits --family` choices: every record's order-p**n sequence
+SEQUENCES = tuple(sorted(fam.sequence.name for fam in _FAMILIES.values() if fam.sequence))
 
 
 def default_ranges(family: str) -> dict[str, tuple[int, int]]:
     """Built-in parameter ranges for a verification family."""
-    if family not in _GRIDS:
-        raise ConstraintError("unknown verification family", family)
-    return dict(_GRIDS[family].ranges)
+    return dict(_verification(family).ranges)
 
 
 def verify_grid(family: str, ranges: dict[str, tuple[int, int]] | None = None,
                 cap: int = DEFAULT_CAP) -> tuple[list[VerifyRow], int]:
     """Run one family's formula-vs-brute grid; returns (rows, skipped count)."""
-    base = default_ranges(family)
-    if ranges:
-        for key in ranges:
-            if key not in base:
-                raise ConstraintError(
-                    f"family {family} accepts ranges {sorted(base)}", key)
-        base.update(ranges)
-    grid = _GRIDS[family]
+    grid = _verification(family)
+    base = dict(grid.ranges)
+    for key in ranges or {}:
+        if key not in base:
+            raise ConstraintError(f"family {family} accepts ranges {sorted(base)}", key)
+    base.update(ranges or {})
     rows: list[VerifyRow] = []
     skipped = 0
     for t in grid.tuples(base):
         try:
             spec = grid.spec(*t)
-            checks = grid.checks(*t)
-        except ConstraintError:  # no such group, or outside the closed form's domain
+        except ConstraintError:  # no such group
             continue
         try:
             beyond = spec.order() > cap
         except ConstraintError:  # an order too long to print is past any cap
             beyond = True
-        if beyond:
+        if beyond:  # before the closed form, which may factor a huge parameter
             skipped += 1
+            continue
+        try:
+            checks = grid.checks(*t)
+        except ConstraintError:  # outside the closed form's domain
             continue
         lat = enumerate_subgroups(build(spec))
         params = grid.label.format(*t)
@@ -342,17 +313,19 @@ def verify_grid(family: str, ranges: dict[str, tuple[int, int]] | None = None,
 # ---------------------------------------------------------------------------
 # limit tables
 
-def limits_rows(family: Family, p: int, n_max: int) -> list[tuple[int, Fraction, Fraction]]:
-    """(n, ndeg, |ndeg - limit|) for the family's order-p**n members up to n_max."""
-    family_member(family, p, n_max)  # ConstraintError when n_max has no member
-    limit = family_limit(family)
+def limits_rows(family: str, p: int | None, n_max: int) -> list[tuple[int, Fraction, Fraction]]:
+    """(n, ndeg, |ndeg - limit|) for the sequence's order-p**n members up to
+    n_max; p None takes the sequence's default prime."""
+    seq = sequence(family)
+    p = seq.prime if p is None else p
+    seq.member(p, n_max)  # ConstraintError when n_max has no member
     out = []
     for n in range(1, n_max + 1):
         try:
-            nd = ndeg_family(family, p, n)
-        except ConstraintError:  # below the family's first member
+            nd = seq.ndeg(p, n)
+        except ConstraintError:  # below the sequence's first member
             continue
-        out.append((n, nd, abs(nd - limit)))
+        out.append((n, nd, abs(nd - seq.limit)))
     return out
 
 
@@ -372,9 +345,7 @@ def ledger_summarize(path: str, err: TextIO = sys.stderr) -> dict:
     distinct ndeg value (a Fraction) with its count."""
     records = 0
     malformed = 0
-    by_method: dict[str, int] = {}
-    by_family: dict[str, int] = {}
-    ndeg_seen: dict[Fraction, int] = {}
+    by_method, by_family, ndeg_seen = Counter(), Counter(), Counter()
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -395,10 +366,9 @@ def ledger_summarize(path: str, err: TextIO = sys.stderr) -> dict:
                       file=err)
                 continue
             records += 1
-            by_method[method] = by_method.get(method, 0) + 1
-            fam = "product" if " x " in spec else spec.split("(", 1)[0]
-            by_family[fam] = by_family.get(fam, 0) + 1
-            ndeg_seen[value] = ndeg_seen.get(value, 0) + 1
+            by_method[method] += 1
+            by_family["product" if " x " in spec else spec.split("(", 1)[0]] += 1
+            ndeg_seen[value] += 1
     return {
         "records": records,
         "malformed": malformed,

@@ -1,10 +1,13 @@
-"""Group spec language and multiplication-table construction.
+"""Group spec language, the family registry and multiplication tables.
 
 A spec is a product of family constructors, e.g. "SDP(3,7,2) x C(2)".
-Every constructor validates its parameter constraints up front; build()
-materializes an immutable multiplication table and checks the group
-axioms on it, associativity by Light's test on a generating set, which is
-exhaustive at every order.
+Each constructor is one record in `_FAMILIES`: its parameter check, order,
+table builder and candidate tuples, its closed-form counts, its catalog
+rule, and its verify grids, among them the sequence of its members of
+order p**n. Every constructor validates its parameter constraints up
+front; build() materializes an immutable multiplication table and checks
+the group axioms on it, associativity by Light's test on a generating set,
+which is exhaustive at every order.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import math
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintError, SpecParseError
-from .numtheory import is_prime
+from .numtheory import divisors, gcd_divisor_sum, is_prime, sigma, tau
 
 # Hard ceiling for table materialization; the lattice cap is separate and lower.
 MAX_BUILD_ORDER = 4096
@@ -143,6 +148,58 @@ def _check_ea(params: tuple[int, ...]) -> tuple[str, str] | None:
 
 
 # ---------------------------------------------------------------------------
+# closed forms: (subgroup count, normal count) from the parameters alone
+
+
+def sdp_counts(p: int, n: int, k0: int) -> tuple[int, int]:
+    """Subgroup and normal-subgroup counts of SDP(p, n, k0).
+
+    Subgroups: tau(n) plus a gcd sum over divisors.  Normal subgroups:
+    tau(n) + tau(d) with d = gcd(k0-1, n).  The tau(n) divisor subgroups
+    of the cyclic normal factor are always normal.  A subgroup that
+    projects onto the prime factor has normalizer of order
+    p*gcd(k(k0-1), n), so it is normal exactly when n/d divides k; that
+    happens for tau(d) divisors k of n.  When d == 1 this collapses to the
+    familiar tau(n) + 1.
+    """
+    check_params("SDP", (p, n, k0))
+    d = math.gcd(k0 - 1, n)
+    return tau(n) + gcd_divisor_sum(n, n // d), tau(n) + tau(d)
+
+
+def dihedral_counts(n: int) -> tuple[int, int]:
+    """Subgroup and normal-subgroup counts of Dih(n) for n >= 3."""
+    if n < 3:
+        raise ConstraintError("dihedral closed form requires n >= 3", f"n={n}")
+    total = tau(n) + sigma(n)
+    normal = tau(n) + 1 if n % 2 else tau(n) + 3
+    return total, normal
+
+
+def _geometric_sum(x: int, count: int, m: int) -> int:
+    """sum(x**j for j in range(count)) % m, by binary splitting on the bits of
+    count: S(2c) = S(c) (1 + x**c) and S(c+1) = 1 + x S(c)."""
+    total, power = 0, 1 % m  # S(c) and x**c mod m, from c = 0
+    for bit in bin(count)[2:]:
+        total, power = total * (1 + power) % m, power * power % m
+        if bit == "1":
+            total, power = (1 + x * total) % m, power * x % m
+    return total
+
+
+def zm_counts(m: int, n: int, r: int) -> tuple[int, int]:
+    """Subgroup and normal-subgroup counts of ZM(m, n, r)."""
+    check_params("ZM", (m, n, r))
+    total = 0
+    for m1 in divisors(m):
+        for n1 in divisors(n):
+            total += math.gcd(m1, _geometric_sum(pow(r, n1, m1), n // n1, m1))
+    normal = sum(tau(math.gcd(m, (pow(r, n1, m) - 1) % m))
+                 for n1 in divisors(n))
+    return total, normal
+
+
+# ---------------------------------------------------------------------------
 # table builders (numpy blocks; element ids documented per family), all int16:
 # ids and intermediates stay below 2 * MAX_BUILD_ORDER < 2**15
 
@@ -225,6 +282,10 @@ def _table_ea(p: int, k: int) -> np.ndarray:
     return functools.reduce(_product_table, [_table_cyclic(p)] * k)
 
 
+# ---------------------------------------------------------------------------
+# the family registry
+
+
 def _singles(top: int):
     return ((n,) for n in range(1, top + 1))
 
@@ -234,52 +295,140 @@ def _prime_powers(cap: int):
     return ((p, k) for p in range(2, cap + 1) for k in range(1, cap.bit_length()))
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Grid(NamedTuple):
+    """A verify grid over a family's own parameters."""
+
+    name: str  # in `verify --family`
+    ranges: dict[str, tuple[int, int]]  # default ranges, by key
+    # ranges -> parameter tuples in output order, some naming no group
+    tuples: Callable[[dict[str, tuple[int, int]]], Iterable[tuple[int, ...]]]
+
+
+class Sequence(NamedTuple):
+    """A family's members of order p**n, counted in closed form.
+
+    The default ranges of its verify grid start n at the first member; with
+    no p range, members exist only at p == prime, the default of `limits`.
+    """
+
+    name: str  # in `verify --family` and `limits --family`
+    term: Callable[[int, int], Constructor]  # the member of order p**n
+    prime: int
+    limit: Fraction  # of the members' normality degrees as n grows
+    ranges: dict[str, tuple[int, int]]
+    # (subgroups, normal) in (p, n); by default the record's closed form at the member
+    closed_form: Callable[[int, int], tuple[int, int]] | None = None
+
+    def member(self, p: int, n: int) -> Constructor:
+        """The member of order p**n; ConstraintError when there is none."""
+        if n < self.ranges["n"][0] or ("p" not in self.ranges and p != self.prime):
+            raise ConstraintError(f"{self.name} has no member of order p**n", f"p={p}, n={n}")
+        return self.term(p, n)
+
+    def counts(self, p: int, n: int) -> tuple[int, int]:
+        """Subgroup and normal-subgroup counts of the member of order p**n."""
+        member = self.member(p, n)
+        if self.closed_form is not None:
+            return self.closed_form(p, n)
+        return _FAMILIES[member.name].counts(*member.params)
+
+    def ndeg(self, p: int, n: int) -> Fraction:
+        """Normality degree of the member of order p**n, exactly."""
+        total, normal = self.counts(p, n)
+        return Fraction(normal, total)
+
+
+class _Family(NamedTuple):
     """Everything the package knows about one constructor.
 
     `candidates(cap)` yields, in lexicographic order, canonical parameter
     tuples (residues below their modulus) that include every valid tuple of
-    order <= cap; `check` alone decides validity.
+    order <= cap; `check` alone decides validity. `counts(*params)` is the
+    closed form, raising ConstraintError outside its domain. The catalog
+    lists the members that `listed` accepts, and among groups of equal order
+    ranks the families in registry order. `grid` and `sequence` are the
+    family's verify grids: over its parameters, and over its members of
+    order p**n.
     """
 
-    arity: int
+    names: tuple[str, ...]  # of the parameters, as verify labels print them
     check: Callable[[tuple[int, ...]], tuple[str, str] | None]
     order: Callable[[tuple[int, ...]], int]
     build: Callable[[tuple[int, ...]], np.ndarray]
     candidates: Callable[[int], Iterable[tuple[int, ...]]]
+    counts: Callable[..., tuple[int, int]] | None = None
+    listed: Callable[[tuple[int, ...]], bool] = lambda params: True
+    grid: _Grid | None = None
+    sequence: Sequence | None = None
 
 
 _FAMILIES: dict[str, _Family] = {
-    "C": _Family(1, _check_positive("C", 1), lambda p: p[0],
-                 lambda p: _table_cyclic(p[0]), _singles),
-    "Dih": _Family(1, _check_positive("Dih", 1), lambda p: 2 * p[0],
-                   lambda p: metacyclic_table(p[0], 2, p[0] - 1),  # y x y = x^-1
-                   lambda cap: _singles(cap // 2)),
-    "Q": _Family(1, _check_positive("Q", 3), lambda p: _power_order(2, p[0]),
-                 lambda p: _table_quaternion(p[0]), lambda cap: _singles(cap.bit_length())),
-    "SD": _Family(1, _check_positive("SD", 4), lambda p: _power_order(2, p[0]),
+    "C": _Family(("n",), _check_positive("C", 1), lambda p: p[0],
+                 lambda p: _table_cyclic(p[0]), _singles,
+                 counts=lambda n: (tau(n), tau(n))),
+    # EA(p,1) is C(p), and elementary abelian lattices explode far below the cap
+    "EA": _Family(("p", "k"), _check_ea, lambda p: _power_order(*p), lambda p: _table_ea(*p),
+                  _prime_powers, listed=lambda p: p[1] > 1 and p[0] ** p[1] <= 32),
+    "Sym": _Family(("n",), _check_sym, lambda p: math.factorial(p[0]),
+                   lambda p: _table_sym(p[0]), _singles,
+                   listed=lambda p: p[0] > 2),  # Sym(1), Sym(2) are C(1), C(2)
+    "Q": _Family(("n",), _check_positive("Q", 3), lambda p: _power_order(2, p[0]),
+                 lambda p: _table_quaternion(p[0]), lambda cap: _singles(cap.bit_length()),
+                 counts=lambda n: (2 ** (n - 1) + n - 1, n + 3),
+                 sequence=Sequence("quaternion2n", lambda p, n: Constructor("Q", (n,)),
+                                   2, Fraction(0), {"n": (3, 9)})),
+    "SD": _Family(("n",), _check_positive("SD", 4), lambda p: _power_order(2, p[0]),
                   lambda p: metacyclic_table(1 << (p[0] - 1), 2, (1 << (p[0] - 2)) - 1),
-                  lambda cap: _singles(cap.bit_length())),
-    "M": _Family(2, _check_mpn, lambda p: _power_order(*p),
+                  lambda cap: _singles(cap.bit_length()),
+                  counts=lambda n: (3 * 2 ** (n - 2) + n - 1, n + 3),
+                  sequence=Sequence("semidihedral2n", lambda p, n: Constructor("SD", (n,)),
+                                    2, Fraction(0), {"n": (4, 9)})),
+    "M": _Family(("p", "n"), _check_mpn, lambda p: _power_order(*p),
                  lambda p: metacyclic_table(p[0] ** (p[1] - 1), p[0], p[0] ** (p[1] - 2) + 1),
-                 _prime_powers),
-    "Sym": _Family(1, _check_sym, lambda p: math.factorial(p[0]),
-                   lambda p: _table_sym(p[0]), _singles),
-    "SDP": _Family(3, _check_sdp, lambda p: p[0] * p[1], lambda p: _table_sdp(*p),
+                 _prime_powers,
+                 counts=lambda p, n: ((1 + p) * n + 1 - p, (1 + p) * n + 1 - 2 * p),
+                 sequence=Sequence("mpn", lambda p, n: Constructor("M", (p, n)),
+                                   3, Fraction(1), {"p": (2, 7), "n": (3, 9)})),
+    # Dih(1), Dih(2) are C(2), EA(2,2), outside the closed form's domain; the
+    # sequence of Dih(2**(n-1)) counts from Dih(2) on, in n
+    "Dih": _Family(("n",), _check_positive("Dih", 1), lambda p: 2 * p[0],
+                   lambda p: metacyclic_table(p[0], 2, p[0] - 1),  # y x y = x^-1
+                   lambda cap: _singles(cap // 2),
+                   counts=dihedral_counts, listed=lambda p: p[0] > 2,
+                   grid=_Grid("dihedral", {"n": (3, 60)},
+                              lambda r: ((n,) for n in range(r["n"][0], r["n"][1] + 1))),
+                   sequence=Sequence("dihedral2n", lambda p, n: Constructor("Dih", (p ** (n - 1),)),
+                                     2, Fraction(0), {"n": (2, 9)},
+                                     lambda p, n: (2 ** n + n - 1, n + 3))),
+    "SDP": _Family(("p", "n", "k0"), _check_sdp, lambda p: p[0] * p[1], lambda p: _table_sdp(*p),
                    lambda cap: ((p, n, k0) for p in range(2, cap + 1) if _check_sdp((p,)) is None
                                 for n in range(1, cap // p + 1) if _check_sdp((p, n)) is None
-                                for k0 in range(n))),
+                                for k0 in range(n)),
+                   counts=sdp_counts,
+                   grid=_Grid("sdp", {"p": (2, 5), "n": (2, 40)},
+                              lambda r: (t for t in family_params("SDP", r["p"][1] * r["n"][1])
+                                         if r["p"][0] <= t[0] <= r["p"][1]
+                                         and r["n"][0] <= t[1] <= r["n"][1]))),
     # no even m has a valid r: gcd(m, r-1) = 1 makes r even, and then r**n
     # is even, so r**n == 1 (mod m) fails; the walk also applies the check's
     # rules gcd(m, n) == 1 and r**n == 1 (mod m)
-    "ZM": _Family(3, _check_zm, lambda p: p[0] * p[1], lambda p: metacyclic_table(*p),
+    "ZM": _Family(("m", "n", "r"), _check_zm, lambda p: p[0] * p[1], lambda p: metacyclic_table(*p),
                   lambda cap: ((m, n, r) for m in range(1, cap + 1, 2)
                                for n in range(1, cap // m + 1) if math.gcd(m, n) == 1
-                               for r in range(m) if pow(r, n, m) == 1 % m)),
-    "EA": _Family(2, _check_ea, lambda p: _power_order(*p), lambda p: _table_ea(*p),
-                  _prime_powers),
+                               for r in range(m) if pow(r, n, m) == 1 % m),
+                  counts=zm_counts,
+                  grid=_Grid("zm", {"mn": (2, 300)},  # mn bounds the order m*n
+                             lambda r: (t for t in family_params("ZM", r["mn"][1])
+                                        if t[0] * t[1] >= r["mn"][0]))),
 }
+
+
+def sequence(name: str) -> Sequence:
+    """The order-p**n sequence called name, from the record that holds it."""
+    for fam in _FAMILIES.values():
+        if fam.sequence is not None and fam.sequence.name == name:
+            return fam.sequence
+    raise ConstraintError("unknown sequence", name)
 
 
 def check_params(name: str, params: tuple[int, ...]) -> None:
@@ -287,10 +436,8 @@ def check_params(name: str, params: tuple[int, ...]) -> None:
     fam = _FAMILIES.get(name)
     if fam is None:
         raise ConstraintError(f"unknown constructor {name!r}")
-    if len(params) != fam.arity:
-        raise ConstraintError(
-            f"{name} takes {fam.arity} parameter(s)", f"got {len(params)}"
-        )
+    if len(params) != len(fam.names):
+        raise ConstraintError(f"{name} takes {len(fam.names)} parameter(s)", f"got {len(params)}")
     problem = fam.check(params)
     if problem is not None:
         raise ConstraintError(*problem)

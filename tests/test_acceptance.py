@@ -28,14 +28,8 @@ from normdeg.degrees import (
     sd_brute,
 )
 from normdeg.explorer import density_sequence, limits_rows, verify_grid
-from normdeg.formulas import (
-    Family,
-    dihedral_counts,
-    formula_counts,
-    sdp_counts,
-    semidirect_bounds,
-)
-from normdeg.groups import build
+from normdeg.formulas import formula_counts, semidirect_bounds
+from normdeg.groups import build, dihedral_counts, sdp_counts
 from normdeg.lattice import enumerate_subgroups, normalizer
 from normdeg.numtheory import factorize
 
@@ -244,14 +238,14 @@ def test_acceptance_5_density():
 def test_acceptance_6_limits():
     """Monotone convergence of the two formula sequences up to n = 64."""
     problems = []
-    modular = limits_rows(Family.MODULAR, 3, 64)
+    modular = limits_rows("mpn", 3, 64)
     values = [nd for _, nd, _ in modular]
     if not all(a < b for a, b in zip(values, values[1:])):
         problems.append("modular sequence not increasing")
     final_modular = modular[-1][2]
     if not final_modular < Fraction(1, 10):
         problems.append(("modular distance too large", final_modular))
-    dihedral = limits_rows(Family.DIHEDRAL, 2, 64)
+    dihedral = limits_rows("dihedral2n", 2, 64)
     values = [nd for _, nd, _ in dihedral]
     if not all(a > b for a, b in zip(values[1:], values[2:])):
         problems.append("dihedral sequence not decreasing")

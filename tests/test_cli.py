@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import normdeg.cli
-from normdeg import explorer
+from normdeg import explorer, groups
 from normdeg.cli import (
     EXIT_CAP,
     EXIT_CONSTRAINT,
@@ -26,7 +26,7 @@ from normdeg.cli import (
     EXIT_USAGE,
     main,
 )
-from normdeg.formulas import sdp_counts
+from normdeg.groups import sdp_counts
 
 
 def run_cli(capsys, *argv):
@@ -350,6 +350,16 @@ class TestVerify:
         assert tsv_rows(out) == []
         assert "0 comparisons, 0 mismatches, 58 tuples beyond cap" in err
 
+    def test_cap_comes_before_the_closed_form(self):
+        # the closed form would factor 10^88 + 9, which has two large prime
+        # factors; the tuple meets the cap first, so nothing is compared
+        n = 10 ** 88 + 9
+        code, out, err = run_process("verify", "--family", "dihedral",
+                                     "--range", f"n={n}..{n}")
+        assert code == EXIT_CAP
+        assert tsv_rows(out) == []
+        assert err == "0 comparisons, 0 mismatches, 1 tuples beyond cap\n"
+
     def test_orders_too_long_to_print_are_beyond_cap(self, capsys):
         # M(2, n) for n >= 14285 is refused before its order is computed
         code, out, err = run_cli(capsys, "verify", "--family", "mpn",
@@ -372,9 +382,9 @@ class TestVerify:
         assert "0 comparisons, 0 mismatches, 0 tuples beyond cap" in err
 
     def test_mismatch_sets_exit_code(self, capsys, monkeypatch):
-        sdp = explorer._GRIDS["sdp"]
-        wrong = explorer._sizes(lambda p, n, k0: (999, sdp_counts(p, n, k0)[1]))
-        monkeypatch.setitem(explorer._GRIDS, "sdp", sdp._replace(checks=wrong))
+        wrong = groups._FAMILIES["SDP"]._replace(
+            counts=lambda p, n, k0: (999, sdp_counts(p, n, k0)[1]))
+        monkeypatch.setitem(groups._FAMILIES, "SDP", wrong)
         code, out, err = run_cli(capsys, "verify", "--family", "sdp",
                                  "--range", "p=2..2,n=3..3")
         assert code == EXIT_MISMATCH

@@ -7,9 +7,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
+from normdeg import groups
+from normdeg.cli import main
 from normdeg.degrees import ndeg_brute, pgroup_bound_check, sd_brute
 from normdeg.errors import CapExceededError, ConstraintError
 from normdeg.explorer import (
@@ -26,9 +29,9 @@ from normdeg.explorer import (
     mpn_witnesses,
     verify_grid,
 )
-from normdeg.formulas import Family, ndeg_family
-from normdeg.groups import build, parse_spec
+from normdeg.groups import build, parse_spec, sequence
 from normdeg.lattice import enumerate_subgroups
+from normdeg.numtheory import tau
 
 
 def brute(spec: str):
@@ -117,7 +120,7 @@ class TestDensitySequence:
             product = Fraction(1)
             for spec in s.factor_specs:
                 con = parse_spec(spec)
-                product *= ndeg_family(Family.MODULAR, *con.params)
+                product *= sequence("mpn").ndeg(*con.params)
             assert product == s.ndeg
 
     def test_factor_orders_are_pairwise_coprime(self):
@@ -170,7 +173,7 @@ class TestConjectureSearch:
             for q in sympy.primerange(2, a + 3):
                 for n in range(1, a + 4):
                     try:
-                        nd = ndeg_family(Family.MODULAR, q, n)
+                        nd = sequence("mpn").ndeg(q, n)
                     except ConstraintError:
                         continue
                     if nd == Fraction(a, a + 1):
@@ -189,7 +192,7 @@ class TestConjectureSearch:
         for a in range(1, 12):
             for spec in mpn_witnesses(a):
                 con = parse_spec(spec)
-                assert ndeg_family(Family.MODULAR, *con.params) == Fraction(a, a + 1)
+                assert sequence("mpn").ndeg(*con.params) == Fraction(a, a + 1)
 
     def test_witness_rows(self):
         rows = conjecture_witness_rows(3, 200)
@@ -289,6 +292,18 @@ class TestVerifyGrid:
         assert skipped > 0
         assert all(r.ok for r in rows)
 
+    def test_cap_comes_before_the_closed_form_domain(self):
+        # Dih(1) lies outside dihedral_counts' domain and is left out; Dih(2),
+        # outside it too but past the cap, counts as skipped
+        assert verify_grid("dihedral", {"n": (1, 2)}, cap=2) == ([], 1)
+
+    def test_dihedral_sequence_starts_below_the_closed_form(self):
+        # Dih(2) = EA(2,2): the sequence counts it, the formula route does not
+        rows, _ = verify_grid("dihedral2n", {"n": (2, 2)})
+        assert [(r.params, r.formula_value, r.brute_value) for r in rows] == \
+               [("n=2", 5, 5), ("n=2", 5, 5)]
+        assert limits_rows("dihedral2n", None, 2) == [(2, 1, 1)]  # ndeg 1, limit 0
+
     def test_default_ranges_cover_every_family(self):
         for family in VERIFY_FAMILIES:
             ranges = default_ranges(family)
@@ -301,9 +316,52 @@ class TestVerifyGrid:
             verify_grid("sdp", {"q": (2, 3)})
 
 
+class TestOneRecordFamily:
+    """A constructor added as one registry record plus its builder reaches
+    the formula route, the catalog and a verify grid."""
+
+    @staticmethod
+    def table(params):
+        a = np.arange(2 * params[0])
+        return np.add.outer(a, a) % (2 * params[0])
+
+    @pytest.fixture
+    def toy(self, monkeypatch):
+        # Toy(n): the cyclic group of order 2n, with its own builder,
+        # closed form and verify grid
+        record = groups._Family(
+            ("n",), lambda p: None if p[0] >= 1 else ("Toy requires n >= 1", f"n={p[0]}"),
+            lambda p: 2 * p[0], self.table, lambda cap: ((n,) for n in range(1, cap // 2 + 1)),
+            counts=lambda n: (tau(2 * n), tau(2 * n)),
+            grid=groups._Grid("toy", {"n": (1, 12)},
+                              lambda r: ((n,) for n in range(r["n"][0], r["n"][1] + 1))))
+        monkeypatch.setitem(groups._FAMILIES, "Toy", record)
+        return record
+
+    def test_compute_takes_the_formula_route(self, toy, capsys):
+        assert main(["compute", "--spec", "Toy(6)", "--method", "formula"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split("\t")
+        assert row[:7] == ["Toy(6)", "12", "6", "6", "1/1", "-", "formula"]
+
+    def test_catalog_lists_it_last_among_equal_orders(self, toy):
+        specs = catalog_specs(12)
+        assert [spec for spec, order in specs if order == 12][-1] == "Toy(6)"
+        assert [spec for spec, _ in specs if spec.startswith("Toy")] == \
+               [f"Toy({n})" for n in range(1, 7)]
+
+    def test_verify_grid_checks_the_closed_form(self, toy, monkeypatch):
+        rows, skipped = verify_grid("toy", cap=16)
+        assert [r.params for r in rows[::2]] == [f"n={n}" for n in range(1, 9)]
+        assert skipped == 4 and all(r.ok for r in rows)
+        monkeypatch.setitem(groups._FAMILIES, "Toy",
+                            toy._replace(counts=lambda n: (tau(2 * n), 1)))
+        rows, _ = verify_grid("toy", {"n": (2, 3)})
+        assert [r.ok for r in rows] == [True, False, True, False]
+
+
 class TestLimits:
     def test_modular_rows_increase_toward_one(self):
-        rows = limits_rows(Family.MODULAR, 3, 10)
+        rows = limits_rows("mpn", 3, 10)
         assert [n for n, _, _ in rows] == list(range(3, 11))
         values = [nd for _, nd, _ in rows]
         dists = [d for _, _, d in rows]
@@ -312,7 +370,7 @@ class TestLimits:
         assert dists == sorted(dists, reverse=True)
 
     def test_dihedral_rows_decrease_toward_zero(self):
-        rows = limits_rows(Family.DIHEDRAL, 2, 10)
+        rows = limits_rows("dihedral2n", 2, 10)
         assert rows[0][0] == 2
         assert all(d == nd for (_, nd, d) in rows)
         values = [nd for _, nd, _ in rows]

@@ -6,6 +6,7 @@ in the acceptance suite.
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 from math import gcd
 
@@ -13,23 +14,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normdeg import formulas
+from normdeg import groups
 from normdeg.errors import ConstraintError
 from normdeg.formulas import (
-    Family,
     abelian_rank2_count,
     abelian_rank2_total,
-    dihedral_counts,
-    family_counts,
-    family_limit,
-    family_member,
     formula_counts,
-    ndeg_family,
-    sdp_counts,
     semidirect_bounds,
+)
+from normdeg.groups import (
+    Sequence,
+    build,
+    dihedral_counts,
+    family_params,
+    parse_spec,
+    sdp_counts,
+    sequence,
     zm_counts,
 )
-from normdeg.groups import build, family_params, parse_spec
 from normdeg.lattice import enumerate_subgroups
 from normdeg.numtheory import divisors, sigma, tau
 
@@ -196,7 +198,7 @@ class TestZM:
     @settings(max_examples=300, deadline=None)
     def test_geometric_sum_matches_the_direct_sum(self, case):
         m, x, count = case
-        assert formulas._geometric_sum(x, count, m) == \
+        assert groups._geometric_sum(x, count, m) == \
                sum(pow(x, j, m) for j in range(count)) % m
 
     def test_subgroup_count_matches_the_direct_sum(self):
@@ -248,7 +250,7 @@ class TestAbelianRank2:
 
     @pytest.mark.parametrize("p, n", [(2, 4), (2, 6), (3, 3), (3, 5), (5, 3)])
     def test_modular_groups_share_the_abelian_lattice_size(self, p, n):
-        assert family_counts(Family.MODULAR, p, n)[0] == \
+        assert sequence("mpn").counts(p, n)[0] == \
                abelian_rank2_total(p, 1, n - 1)
 
     def test_rejects_bad_parameters(self):
@@ -260,12 +262,21 @@ class TestAbelianRank2:
             abelian_rank2_count(2, 1, 2, 5)
 
 
+class Family(Enum):
+    """The order-p**n sequences, by the names that these tests' ids carry."""
+
+    MODULAR = "mpn"
+    DIHEDRAL = "dihedral2n"
+    QUATERNION = "quaternion2n"
+    SEMIDIHEDRAL = "semidihedral2n"
+
+
 class TestPrimePowerFamilies:
     def test_orders(self):
-        assert family_member(Family.MODULAR, 3, 3).order() == 27
-        assert family_member(Family.DIHEDRAL, 2, 4).order() == 16
-        assert family_member(Family.QUATERNION, 2, 3).order() == 8
-        assert family_member(Family.SEMIDIHEDRAL, 2, 4).order() == 16
+        assert sequence("mpn").member(3, 3).order() == 27
+        assert sequence("dihedral2n").member(2, 4).order() == 16
+        assert sequence("quaternion2n").member(2, 3).order() == 8
+        assert sequence("semidihedral2n").member(2, 4).order() == 16
 
     @pytest.mark.parametrize("family, p, n, counts", [
         (Family.MODULAR, 3, 3, (10, 7)),
@@ -278,40 +289,41 @@ class TestPrimePowerFamilies:
         (Family.SEMIDIHEDRAL, 2, 4, (15, 7)),
     ])
     def test_counts(self, family, p, n, counts):
-        assert family_counts(family, p, n) == counts
+        assert sequence(family.value).counts(p, n) == counts
 
     def test_known_degrees(self):
-        assert ndeg_family(Family.QUATERNION, 2, 3) == 1
-        assert ndeg_family(Family.MODULAR, 5, 4) == Fraction(3, 4)
-        assert ndeg_family(Family.DIHEDRAL, 2, 4) == Fraction(7, 19)
+        assert sequence("quaternion2n").ndeg(2, 3) == 1
+        assert sequence("mpn").ndeg(5, 4) == Fraction(3, 4)
+        assert sequence("dihedral2n").ndeg(2, 4) == Fraction(7, 19)
 
     def test_dihedral_family_agrees_with_general_dihedral(self):
         for n in range(3, 12):
-            assert ndeg_family(Family.DIHEDRAL, 2, n) == degree(dihedral_counts(2 ** (n - 1)))
+            assert sequence("dihedral2n").ndeg(2, n) == degree(dihedral_counts(2 ** (n - 1)))
 
     def test_degree_checks_the_member_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(formulas, "family_member",
-                            lambda *args: calls.append(args) or family_member(*args))
-        assert ndeg_family(Family.MODULAR, 3, 5) == Fraction(15, 18)
-        assert calls == [(Family.MODULAR, 3, 5)]
+        member = Sequence.member
+        monkeypatch.setattr(Sequence, "member",
+                            lambda seq, *args: calls.append(args) or member(seq, *args))
+        assert sequence("mpn").ndeg(3, 5) == Fraction(15, 18)
+        assert calls == [(3, 5)]
 
     def test_limits(self):
-        assert family_limit(Family.MODULAR) == 1
-        for family in (Family.DIHEDRAL, Family.QUATERNION, Family.SEMIDIHEDRAL):
-            assert family_limit(family) == 0
+        assert sequence("mpn").limit == 1
+        for name in ("dihedral2n", "quaternion2n", "semidihedral2n"):
+            assert sequence(name).limit == 0
 
     def test_modular_degrees_increase_toward_one(self):
         for p in (2, 3, 5):
             start = 4 if p == 2 else 3
-            values = [ndeg_family(Family.MODULAR, p, n)
+            values = [sequence("mpn").ndeg(p, n)
                       for n in range(start, start + 20)]
             assert all(a < b < 1 for a, b in zip(values, values[1:]))
 
     def test_two_group_degrees_decrease_toward_zero(self):
-        for family, start in [(Family.DIHEDRAL, 3), (Family.QUATERNION, 4),
-                              (Family.SEMIDIHEDRAL, 4)]:
-            values = [ndeg_family(family, 2, n) for n in range(start, start + 15)]
+        for name, start in [("dihedral2n", 3), ("quaternion2n", 4),
+                            ("semidihedral2n", 4)]:
+            values = [sequence(name).ndeg(2, n) for n in range(start, start + 15)]
             assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("family, p, n", [
@@ -324,7 +336,7 @@ class TestPrimePowerFamilies:
     ])
     def test_rejects_bad_parameters(self, family, p, n):
         with pytest.raises(ConstraintError):
-            ndeg_family(family, p, n)
+            sequence(family.value).ndeg(p, n)
 
 
 class TestFormulaDispatch:

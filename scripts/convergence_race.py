@@ -25,15 +25,27 @@ RACERS = {
 }
 
 
-def first_crossing(seq: Sequence, threshold: Fraction, n_limit: int) -> int | None:
+def first_crossings(seq: Sequence, thresholds: list[Fraction], n_limit: int) -> list[int | None]:
+    """The first exponent n whose distance to the limit is below each of the
+    falling thresholds, None past n_limit, all in one walk over n.
+
+    A distance below a threshold is below every larger one, so the thresholds
+    met so far are a prefix: each n fills the columns from the first unmet one
+    that its distance is below.
+    """
+    found: list[int | None] = [None] * len(thresholds)
+    met = 0
     for n in range(1, n_limit + 1):
         try:
             distance = abs(seq.ndeg(seq.prime, n) - seq.limit)
         except ConstraintError:  # below the sequence's first member
             continue
-        if distance < threshold:
-            return n
-    return None
+        while met < len(thresholds) and distance < thresholds[met]:
+            found[met] = n
+            met += 1
+        if met == len(thresholds):
+            break
+    return found
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,10 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     print(header)
     for name, label in RACERS.items():
         seq = sequence(name)
-        cells = []
-        for k in range(1, args.depth + 1):
-            n = first_crossing(seq, Fraction(1, 10 ** k), args.n_limit)
-            cells.append(str(n) if n is not None else ">limit")
+        thresholds = [Fraction(1, 10 ** k) for k in range(1, args.depth + 1)]
+        cells = [str(n) if n is not None else ">limit"
+                 for n in first_crossings(seq, thresholds, args.n_limit)]
         print(f"{label}\t{seq.limit}\t" + "\t".join(cells))
     print("cells hold the first exponent n whose distance to the limit "
           "is below the column threshold", file=sys.stderr)

@@ -195,7 +195,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("limits", help="family degree sequence and its limit")
     p.add_argument("--family", required=True, choices=explorer.SEQUENCES)
-    p.add_argument("--p", type=int, help="prime for the modular family (default 3)")
+    p.add_argument("--p", type=int, help="the prime p of the members' orders p**n (default: "
+                   "the sequence's own, 3 for mpn; the 2-group sequences take only 2)")
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--decimals", type=_nonnegative_int,
                    help="add a float approximation column with this precision")

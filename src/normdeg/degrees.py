@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConstraintError
 from .groups import GroupTable
 from .lattice import SubgroupLattice, membership, normalizer
-from .numtheory import factorize, format_ratio
+from .numtheory import format_ratio
 
 METHODS = ("brute", "conjugacy", "formula", "product")
 
@@ -136,25 +136,6 @@ def sd_brute(G: GroupTable, lattice: SubgroupLattice) -> Fraction:
     join = np.array([index[above].min(axis=0) for above in over[:, cols]])  # |<H, K> : K|
     hits = (join == size_h / meet).sum(axis=1)
     return Fraction(k * (k - m) + int(hits @ list(map(len, multi))), k * k)
-
-
-def pgroup_bound_check(G: GroupTable, lattice: SubgroupLattice) -> tuple[Fraction, bool]:
-    """Upper bound |N|/(|N| + p*s) for p-groups, and whether ndeg meets it.
-
-    s counts conjugacy classes with at least two members; each such orbit
-    has size at least p in a p-group.
-    """
-    fac = factorize(G.order)
-    if len(fac) != 1:
-        raise ConstraintError(
-            "p-group bound needs a p-group", f"order {G.order} is not a prime power"
-        )
-    p = fac[0][0]
-    normal = lattice.normal_count
-    multi = sum(len(orbit) > 1 for orbit in lattice.orbits)
-    bound = Fraction(normal, normal + p * multi)
-    ndeg = Fraction(normal, len(lattice))
-    return bound, ndeg <= bound
 
 
 def ndeg_coprime_product(parts: list[DegreeReport]) -> DegreeReport:

@@ -271,11 +271,6 @@ VERIFY_FAMILIES = ("sdp", "dihedral", "zm", "mpn", "dihedral2n", "quaternion2n",
 SEQUENCES = tuple(sorted(fam.sequence.name for fam in _FAMILIES.values() if fam.sequence))
 
 
-def default_ranges(family: str) -> dict[str, tuple[int, int]]:
-    """Built-in parameter ranges for a verification family."""
-    return dict(_verification(family).ranges)
-
-
 def verify_grid(family: str, ranges: dict[str, tuple[int, int]] | None = None,
                 cap: int = DEFAULT_CAP) -> tuple[list[VerifyRow], int]:
     """Run one family's formula-vs-brute grid; returns (rows, skipped count)."""

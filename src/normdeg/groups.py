@@ -607,35 +607,53 @@ class GroupTable:
     def generators(self) -> list[int]:
         """A small generating set found greedily; identity-only group gives []."""
         if self._generators is None:
-            rows = self.rows
-            gens: list[int] = []
-            mask = 1
-            for g in range(self.order):
-                if not mask >> g & 1:
-                    gens.append(g)
-                    mask, _ = closure(rows, gens)
-            self._generators = gens
+            self._generators = generators(self.rows, (1 << self.order) - 1)
         return list(self._generators)
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order})"
 
 
-def closure(rows: dict[int, list[int]], gens) -> tuple[int, int]:
-    """(bitmask, size) of the subgroup generated by gens, by breadth-first search.
+def closure(rows: dict[int, list[int]], gens,
+            span: tuple[int, list[int]] | None = None) -> tuple[int, list[int]]:
+    """(bitmask, elements) of the subgroup generated by gens, by breadth-first search.
 
-    Steps x -> g*x, so only rows[g] for g in gens is read.
+    This is the package's one subgroup walk. Steps x -> g*x, so only rows[g]
+    for g in gens is read. Given span, the mask and elements of
+    <gens[:-1]>, it grows them in place and walks only what gens[-1] adds:
+    the old elements take the new step, and the new elements take every step.
     """
     steps = [rows[g] for g in gens]
-    mask = 1
-    elems = [0]
-    for x in elems:  # the list grows while it is walked
+    mask, elems = span or (1, [0])
+    start = 0
+    if span is not None:
+        start = len(elems)
+        for b in map(steps[-1].__getitem__, elems[:start]):
+            if not mask >> b & 1:
+                mask |= 1 << b
+                elems.append(b)
+    for x in itertools.islice(elems, start, None):  # the list grows while it is walked
         for step in steps:
             b = step[x]
             if not mask >> b & 1:
                 mask |= 1 << b
                 elems.append(b)
-    return mask, len(elems)
+    return mask, elems
+
+
+def generators(rows: dict[int, list[int]], mask: int) -> list[int]:
+    """A small generating set of the subgroup `mask`, found greedily; [] for 1.
+
+    Each generator is the least element outside the span of those before it,
+    and `closure` grows that one span in place until it equals mask.
+    """
+    gens: list[int] = []
+    span = (1, [0])
+    while span[0] != mask:
+        rest = mask & ~span[0]
+        gens.append((rest & -rest).bit_length() - 1)
+        span = closure(rows, gens, span)
+    return gens
 
 
 def build(spec: GroupSpec | str) -> GroupTable:

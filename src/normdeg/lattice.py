@@ -6,7 +6,9 @@ conjugacy orbits, which every degree route reads as they come; the canonical
 order exists only for `SubgroupLattice.subgroups`. Enumeration reads only
 the table rows (`rows[g][x]` is g*x) it multiplies by, and builds masks in C
 as `sum(map(bit, elems))`. `normalizer` computes N(H) afresh for many H at
-once, apart from the enumerator's own N(H).
+once, apart from the enumerator's own N(H). Neither walks a subgroup itself:
+`groups.closure` is the one breadth-first walk, and `groups.generators` the
+one greedy search for a generating set.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import or_
 
 import numpy as np
 
-from .groups import GroupTable, closure
+from .groups import GroupTable, closure, generators
 from .numtheory import factorize
 
 _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, its bits reversed
@@ -190,9 +192,9 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
             rest = full ^ norm if general else 0  # G outside N(H)
             while rest:
                 g = (rest & -rest).bit_length() - 1
-                k = closure(rows, gens + (g,))[0]
+                k, kelems = closure(rows, gens + (g,))
                 if k not in orbit_of:
-                    register(k, SubgroupSet(k).elements(), gens + (g,))
+                    register(k, kelems, gens + (g,))
                 for h in elems:  # HgH, one left coset hgH at a time
                     x = rows[h][g]
                     if rest >> x & 1:
@@ -211,20 +213,15 @@ def membership(masks: list[int], n: int) -> np.ndarray:
 def normalizer(G: GroupTable, masks: list[int]) -> list[int]:
     """The mask of N(H) = {g : g H g^-1 = H} for each subgroup mask H.
 
-    Each H gets generators greedily from its own elements by `closure` (the
+    Each H gets its greedy generating set from `groups.generators` (the
     identity for H = 1, so no H is left without one), and N(H) holds the g
     with g x g^-1 in H for each of them: every g is tested against every
     (H, generator) pair in a few numpy calls per block of at most 2^19 pairs.
     """
     owner, pairs, starts = [], [], []
     for i, mask in enumerate(masks):
-        gens, seen = [], 1
-        while seen != mask:  # add H's least element outside <gens>
-            rest = mask & ~seen
-            gens.append((rest & -rest).bit_length() - 1)
-            seen = closure(G.rows, gens)[0]
         starts.append(len(pairs))
-        pairs += gens or [0]
+        pairs += generators(G.rows, mask) or [0]
         owner += [i] * (len(pairs) - starts[-1])
     member = membership(masks, G.order).view(bool)
     step = max(1, (1 << 19) // max(1, len(pairs)))

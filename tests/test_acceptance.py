@@ -24,7 +24,6 @@ from normdeg.degrees import (
     ndeg_brute,
     ndeg_conjugacy,
     ndeg_coprime_product,
-    pgroup_bound_check,
     sd_brute,
 )
 from normdeg.explorer import density_sequence, limits_rows, verify_grid
@@ -34,6 +33,7 @@ from normdeg.lattice import enumerate_subgroups, normalizer
 from normdeg.numtheory import factorize
 
 from lattice_classes import classes
+from pgroup_bound import pgroup_bound_check
 
 
 VERDICTS: list[str] = []

@@ -18,7 +18,6 @@ from normdeg.degrees import (
     ndeg_brute,
     ndeg_conjugacy,
     ndeg_coprime_product,
-    pgroup_bound_check,
     sd_brute,
 )
 from normdeg.cli import main
@@ -29,6 +28,7 @@ from normdeg.lattice import SubgroupLattice, enumerate_subgroups
 from normdeg.numtheory import format_ratio
 
 from lattice_classes import classes
+from pgroup_bound import pgroup_bound_check
 
 
 def lattice_of(spec: str):

@@ -13,14 +13,14 @@ import sympy
 
 from normdeg import groups
 from normdeg.cli import main
-from normdeg.degrees import ndeg_brute, pgroup_bound_check, sd_brute
+from normdeg.degrees import ndeg_brute, sd_brute
 from normdeg.errors import CapExceededError, ConstraintError
 from normdeg.explorer import (
     VERIFY_FAMILIES,
     _by_power,
+    _verification,
     catalog_specs,
     conjecture_witness_rows,
-    default_ranges,
     degree_report,
     density_sequence,
     ledger_append,
@@ -32,6 +32,8 @@ from normdeg.explorer import (
 from normdeg.groups import build, parse_spec, sequence
 from normdeg.lattice import enumerate_subgroups
 from normdeg.numtheory import tau
+
+from pgroup_bound import pgroup_bound_check
 
 
 def brute(spec: str):
@@ -306,7 +308,7 @@ class TestVerifyGrid:
 
     def test_default_ranges_cover_every_family(self):
         for family in VERIFY_FAMILIES:
-            ranges = default_ranges(family)
+            ranges = _verification(family).ranges
             assert ranges and all(lo <= hi for lo, hi in ranges.values())
 
     def test_rejects_unknown_family_and_keys(self):

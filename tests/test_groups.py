@@ -24,14 +24,16 @@ from normdeg.groups import (
     check_params,
     closure,
     family_params,
+    generators,
     metacyclic_table,
     parse_spec,
 )
+from normdeg.lattice import enumerate_subgroups
 
 
 def fingerprint(G) -> Counter:
     """Histogram {element order: count}, each order the size of <x>."""
-    return Counter(closure(G.rows, [x])[1] for x in range(G.order))
+    return Counter(len(closure(G.rows, [x])[1]) for x in range(G.order))
 
 
 class TestParsing:
@@ -355,13 +357,12 @@ def _span(table: list[list[int]], gens: list[int]) -> set[int]:
     return seen
 
 
-def _greedy_generators(G) -> list[int]:
-    """The greedy search over the fully converted table."""
-    table = G.mul.tolist()
+def _greedy_generators(table: list[list[int]], mask: int) -> list[int]:
+    """The greedy search over the fully converted table, within the subgroup mask."""
     gens: list[int] = []
     seen = {0}
-    for g in range(G.order):
-        if g not in seen:
+    for g in range(len(table)):
+        if mask >> g & 1 and g not in seen:
             gens.append(g)
             seen = _span(table, gens)
     return gens
@@ -385,19 +386,28 @@ class TestRows:
         n = G.order
         table = G.mul.tolist()
         # no limit, though rows holds only the generators' rows
-        assert closure(G.rows, G.generators()) == ((1 << n) - 1, n)
+        mask, elems = closure(G.rows, G.generators())
+        assert mask == (1 << n) - 1 and sorted(elems) == list(range(n))
         rng = np.random.default_rng(3)
         for g in range(n):
             gens = [g, int(rng.integers(n))]
             before = set(G.rows)
             span = _span(table, gens)
-            assert closure(G.rows, gens) == (sum(1 << x for x in span), len(span))
+            mask, elems = closure(G.rows, gens)
+            assert mask == sum(1 << x for x in span) and sorted(elems) == sorted(span)
             assert set(G.rows) <= before | set(gens)
 
-    @pytest.mark.parametrize("spec", [*GROUP_AXIOM_SPECS, "Sym(5)"])
+    # the whole table, then each orbit representative that ndeg_conjugacy
+    # hands to the normalizer, whose span the search grows in place
+    @pytest.mark.parametrize("spec", [*GROUP_AXIOM_SPECS, "Sym(5)", "Dih(4) x Dih(4)", "SD(9)"])
     def test_generators_match_the_greedy_search_over_the_table(self, spec):
         G = build(spec)
-        assert G.generators() == _greedy_generators(G)
+        table = G.mul.tolist()
+        assert G.generators() == _greedy_generators(table, (1 << G.order) - 1)
+        for mask in [max(orbit) for orbit in enumerate_subgroups(G).orbits]:
+            gens = generators(G.rows, mask)
+            assert gens == _greedy_generators(table, mask)
+            assert closure(G.rows, gens)[0] == mask
 
 
 _GROUPS_BY_ORDER = {4: ["C(4)", "EA(2,2)"], 5: ["C(5)"], 6: ["C(6)", "Sym(3)"]}

@@ -346,11 +346,11 @@ class TestGeneratedSubgroup:
 
     def test_empty_seed_gives_trivial(self):
         G = build("Sym(3)")
-        assert closure(G.rows, []) == (1, 1)
+        assert closure(G.rows, []) == (1, [0])
 
     def test_whole_group_from_generators(self):
         G = build("Sym(4)")
-        assert closure(G.rows, G.generators())[1] == 24
+        assert len(closure(G.rows, G.generators())[1]) == 24
 
 
 class TestNormalityStructure:

@@ -35,13 +35,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _nonnegative_int(text: str) -> int:
+def _nonnegative_int(text: str, most: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
     return value
 
 
@@ -198,8 +200,9 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, help="the prime p of the members' orders p**n (default: "
                    "the sequence's own, 3 for mpn; the 2-group sequences take only 2)")
     p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--decimals", type=_nonnegative_int,
-                   help="add a float approximation column with this precision")
+    p.add_argument("--decimals", type=lambda text: _nonnegative_int(text, 1074),
+                   help="add a float approximation column with this precision (at most "
+                   "1074: a double's exact decimal expansion ends there)")
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("ledger", help="ledger file utilities")

@@ -5,7 +5,8 @@ normality degrees approach a rational target, witness searches for degrees
 of the form a/(a+1), formula-vs-brute verification grids, limit tables for
 the order-p**n sequences, and a JSON Lines result ledger. The catalog, the
 grids, the sequences and their limits all come from the constructor
-records in `groups._FAMILIES`; only the rank-2 abelian grid is written here.
+records in `groups._FAMILIES`; only the rank-2 abelian grid is written here,
+and it checks `groups.abelian_counts`.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from functools import cmp_to_key
 from typing import NamedTuple, TextIO
 
 from . import __version__
-from . import formulas as F
 from .degrees import DegreeReport, ndeg_brute, ndeg_conjugacy, sd_brute
 from .errors import CapExceededError, ConstraintError
 from .formulas import formula_counts
-from .groups import (_FAMILIES, Constructor, GroupSpec, Product, build,
+from .groups import (_FAMILIES, Constructor, GroupSpec, Product, abelian_counts, build,
                      family_params, parse_spec, sequence)
 from .lattice import enumerate_subgroups
 from .numtheory import divisors, nth_primes
@@ -213,9 +213,8 @@ def _lattice_sizes(lat, *t) -> list[int]:
 
 
 def _abelian2_checks(p: int, a1: int, a2: int) -> list[tuple[str, int]]:
-    return ([(f"count_order_p^{k}", F.abelian_rank2_count(p, a1, a2, k))
-             for k in range(a1 + a2 + 1)]
-            + [("total", F.abelian_rank2_total(p, a1, a2))])
+    counts = abelian_counts(p, (a1, a2))
+    return [(f"count_order_p^{k}", c) for k, c in enumerate(counts)] + [("total", sum(counts))]
 
 
 def _abelian2_brute(lat, p: int, a1: int, a2: int) -> list[int]:

@@ -4,10 +4,11 @@ A spec is a product of family constructors, e.g. "SDP(3,7,2) x C(2)".
 Each constructor is one record in `_FAMILIES`: its parameter check, order,
 table builder and candidate tuples, its closed-form counts, its catalog
 rule, and its verify grids, among them the sequence of its members of
-order p**n. Every constructor validates its parameter constraints up
-front; build() materializes an immutable multiplication table and checks
-the group axioms on it, associativity by Light's test on a generating set,
-which is exhaustive at every order.
+order p**n. Beside the records' closed forms, `abelian_counts` counts the
+subgroups of every abelian p-group by order. Every constructor validates
+its parameter constraints up front; build() materializes an immutable
+multiplication table and checks the group axioms on it, associativity by
+Light's test on a generating set, which is exhaustive at every order.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _check_ea(params: tuple[int, ...]) -> tuple[str, str] | None:
 
 
 # ---------------------------------------------------------------------------
-# closed forms: (subgroup count, normal count) from the parameters alone
+# closed forms from the parameters alone
 
 
 def sdp_counts(p: int, n: int, k0: int) -> tuple[int, int]:
@@ -197,6 +198,39 @@ def zm_counts(m: int, n: int, r: int) -> tuple[int, int]:
     normal = sum(tau(math.gcd(m, (pow(r, n1, m) - 1) % m))
                  for n1 in divisors(n))
     return total, normal
+
+
+@functools.lru_cache(maxsize=4096)
+def _gaussian(n: int, k: int, p: int) -> int:
+    """The Gaussian binomial [n choose k]_p: the k-subspaces of GF(p)^n."""
+    return (math.prod(p ** (n - j) - 1 for j in range(k))
+            // math.prod(p ** j - 1 for j in range(1, k + 1)))
+
+
+def abelian_counts(p: int, exponents: tuple[int, ...]) -> list[int]:
+    """Subgroup counts of C(p**e1) x ... x C(p**er) by order p**k, k = 0..sum(e).
+
+    Birkhoff: a group of type lambda has prod_i p**(mu'_{i+1} (lambda'_i -
+    mu'_i)) [lambda'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_p subgroups of
+    type mu, ' the conjugate partition (Butler, Mem. AMS 539, 1994). The walk
+    picks mu' a column at a time from the last, keeping for each value of the
+    column just picked the counts by order so far.
+    """
+    if not is_prime(p) or min(exponents, default=0) < 0:
+        raise ConstraintError("abelian counts require a prime p and exponents >= 0",
+                              f"p={p}, exponents={exponents}")
+    walk = {0: [1]}  # mu'_{i+1} -> counts by order exponent so far
+    for i in range(max(exponents, default=0), 0, -1):
+        col = sum(e >= i for e in exponents)  # lambda'_i
+        step = {a: [0] * (len(walk[0]) + col) for a in range(col + 1)}
+        for b, counts in walk.items():
+            for a in range(b, col + 1):  # mu'_i
+                w = p ** (b * (col - a)) * _gaussian(col - b, a - b, p)
+                row = step[a]
+                for k, c in enumerate(counts, a):
+                    row[k] += w * c
+        walk = step
+    return [sum(c) for c in zip(*walk.values())]
 
 
 # ---------------------------------------------------------------------------

@@ -467,10 +467,17 @@ class TestLimits:
                             "--n-max", "4", "--decimals", "3")
         rows = tsv_rows(out)
         assert rows[0]["approx"] == "0.700"
+        # a double's exact expansion ends by digit 1074, the most allowed
+        code, out, _ = run_cli(capsys, "limits", "--family", "mpn",
+                               "--n-max", "4", "--decimals", "1074")
+        assert code == EXIT_OK
+        assert Fraction(tsv_rows(out)[0]["approx"]) == Fraction(0.7)
 
-    def test_negative_decimals_is_a_usage_error(self, capsys):
+    # past digit 1074 only zeros would follow, 3 GB of them for the last
+    @pytest.mark.parametrize("decimals", ["-1", "1075", "3000000000"])
+    def test_negative_decimals_is_a_usage_error(self, capsys, decimals):
         with pytest.raises(SystemExit) as exc:
-            main(["limits", "--family", "mpn", "--decimals", "-1"])
+            main(["limits", "--family", "mpn", "--decimals", decimals])
         assert exc.value.code == EXIT_USAGE
         assert "--decimals" in capsys.readouterr().err
 

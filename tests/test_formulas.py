@@ -6,6 +6,7 @@ in the acceptance suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -16,14 +17,11 @@ from hypothesis import strategies as st
 
 from normdeg import groups
 from normdeg.errors import ConstraintError
-from normdeg.formulas import (
-    abelian_rank2_count,
-    abelian_rank2_total,
-    formula_counts,
-    semidirect_bounds,
-)
+from normdeg.explorer import verify_grid
+from normdeg.formulas import formula_counts, semidirect_bounds
 from normdeg.groups import (
     Sequence,
+    abelian_counts,
     build,
     dihedral_counts,
     family_params,
@@ -33,7 +31,7 @@ from normdeg.groups import (
     zm_counts,
 )
 from normdeg.lattice import enumerate_subgroups
-from normdeg.numtheory import divisors, sigma, tau
+from normdeg.numtheory import divisors, is_prime, sigma, tau
 
 
 def lattice_counts(spec: str) -> tuple[int, int]:
@@ -225,41 +223,89 @@ class TestZM:
             zm_counts(m, n, r)
 
 
+def abelian_types(order_cap: int):
+    """(p, exponents) for each abelian p-group type of order <= order_cap:
+    the partitions of each exponent sum n with p**n <= order_cap."""
+    def partitions(n: int, largest: int):
+        if n == 0:
+            yield ()
+        for part in range(min(n, largest), 0, -1):
+            for rest in partitions(n - part, part):
+                yield (part, *rest)
+
+    for p in filter(is_prime, range(2, order_cap + 1)):
+        n = 1
+        while p ** n <= order_cap:
+            yield from ((p, lam) for lam in partitions(n, n))
+            n += 1
+
+
+def brute_abelian_counts(p: int, exponents: tuple[int, ...]) -> list[int]:
+    """Subgroup counts by order p**k read off the enumerated lattice."""
+    lat = enumerate_subgroups(build(" x ".join(f"C({p ** e})" for e in exponents)))
+    per = Counter(mask.bit_count() for orbit in lat.orbits for mask in orbit)
+    return [per[p ** k] for k in range(sum(exponents) + 1)]
+
+
 class TestAbelianRank2:
+    """`groups.abelian_counts`, Birkhoff's count by order, on the rank-2 types
+    that the abelian2 grid walks, against the rank-2 closed forms it replaced,
+    and on every type of order <= 128 against brute force."""
+
     def test_order8_profile(self):
-        assert [abelian_rank2_count(2, 1, 2, k) for k in range(4)] == [1, 3, 3, 1]
-        assert abelian_rank2_total(2, 1, 2) == 8
+        assert abelian_counts(2, (1, 2)) == [1, 3, 3, 1]
+        assert sum(abelian_counts(2, (1, 2))) == 8
 
-    def test_per_order_counts_are_palindromic(self):
-        for p, a1, a2 in [(2, 1, 3), (3, 2, 2), (5, 1, 2), (2, 3, 4)]:
-            counts = [abelian_rank2_count(p, a1, a2, k)
-                      for k in range(a1 + a2 + 1)]
-            assert counts == counts[::-1]
+    # the duality of finite abelian groups: as many subgroups of order p**k
+    # as of index p**k; and the type does not depend on the factors' order
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.lists(st.integers(1, 8), max_size=4).filter(lambda e: sum(e) <= 8))
+    @settings(max_examples=80, deadline=None)
+    def test_per_order_counts_are_palindromic(self, p, exponents):
+        counts = abelian_counts(p, tuple(exponents))
+        assert len(counts) == sum(exponents) + 1
+        assert counts == counts[::-1]
+        assert abelian_counts(p, tuple(sorted(exponents))) == counts
 
+    # C(p**a1) x C(p**a2), a1 <= a2, has (p**(e+1) - 1)/(p - 1) subgroups of
+    # order p**k with e = min(k, a1, a1 + a2 - k), and in all
+    # ((a2-a1+1) p**(a1+2) - (a2-a1-1) p**(a1+1) - (a1+a2+3) p + a1+a2+1)/(p-1)**2
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(0, 5))
     @settings(max_examples=80, deadline=None)
     def test_total_matches_per_order_sum(self, p, a1, extra):
         a2 = a1 + extra
-        per_order = sum(abelian_rank2_count(p, a1, a2, k)
-                        for k in range(a1 + a2 + 1))
-        assert abelian_rank2_total(p, a1, a2) == per_order
+        counts = abelian_counts(p, (a1, a2))
+        assert counts == [(p ** (min(k, a1, a1 + a2 - k) + 1) - 1) // (p - 1)
+                          for k in range(a1 + a2 + 1)]
+        assert sum(counts) * (p - 1) ** 2 == ((a2 - a1 + 1) * p ** (a1 + 2)
+                                              - (a2 - a1 - 1) * p ** (a1 + 1)
+                                              - (a1 + a2 + 3) * p + a1 + a2 + 1)
 
     @pytest.mark.parametrize("p, a1, a2", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
     def test_matches_brute_force(self, p, a1, a2):
-        assert lattice_counts(f"C({p ** a1}) x C({p ** a2})")[0] == abelian_rank2_total(p, a1, a2)
+        assert lattice_counts(f"C({p ** a1}) x C({p ** a2})")[0] == sum(abelian_counts(p, (a1, a2)))
+
+    # every type of order <= 128 but EA(2,7) and C(4) x EA(2,5), whose
+    # lattices pass 3000 subgroups; 65 of the 91 have p <= 11
+    def test_matches_brute_force_on_every_type_to_order_128(self):
+        types = [(p, lam) for p, lam in abelian_types(128) if sum(abelian_counts(p, lam)) <= 3000]
+        assert len(types) == 91
+        assert sum(p <= 11 for p, _ in types) == 65
+        mismatches = [(p, lam) for p, lam in types
+                      if abelian_counts(p, lam) != brute_abelian_counts(p, lam)]
+        assert not mismatches, mismatches
 
     @pytest.mark.parametrize("p, n", [(2, 4), (2, 6), (3, 3), (3, 5), (5, 3)])
     def test_modular_groups_share_the_abelian_lattice_size(self, p, n):
-        assert sequence("mpn").counts(p, n)[0] == \
-               abelian_rank2_total(p, 1, n - 1)
+        assert sequence("mpn").counts(p, n)[0] == sum(abelian_counts(p, (1, n - 1)))
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ConstraintError):
-            abelian_rank2_total(4, 1, 2)
-        with pytest.raises(ConstraintError):
-            abelian_rank2_total(3, 2, 1)
-        with pytest.raises(ConstraintError):
-            abelian_rank2_count(2, 1, 2, 5)
+        for p, exponents in [(4, (1, 2)), (1, (1,)), (6, (1, 1)), (9, (2,)), (2, (1, -1))]:
+            with pytest.raises(ConstraintError):
+                abelian_counts(p, exponents)
+        # so at a non-prime p the abelian2 grid compares nothing, where a count
+        # for p = 4 would report mismatches against brute force
+        assert verify_grid("abelian2", {"p": (4, 4), "asum": (2, 3)}) == ([], 0)
 
 
 class Family(Enum):

@@ -18,7 +18,6 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple, TextIO
@@ -68,8 +67,7 @@ def degree_report(spec: GroupSpec, method: str = "auto", sd: bool = False,
 # ---------------------------------------------------------------------------
 # sequences approaching a rational target
 
-@dataclass(frozen=True)
-class DensitySequenceStep:
+class DensitySequenceStep(NamedTuple):
     """One step of a group sequence: ndeg is the product over factor_specs."""
 
     index: int
@@ -156,8 +154,7 @@ def catalog_specs(order_cap: int) -> list[tuple[str, int]]:
     return [(spec, order) for order, _, _, spec in entries]
 
 
-@dataclass(frozen=True)
-class WitnessRow:
+class WitnessRow(NamedTuple):
     """Search outcome for one target a/(a+1)."""
 
     a: int
@@ -184,8 +181,7 @@ def conjecture_witness_rows(a_max: int, order_cap: int) -> list[WitnessRow]:
 # ---------------------------------------------------------------------------
 # verification grids: closed forms against the brute-force oracle
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     """One formula-vs-brute comparison."""
 
     family: str

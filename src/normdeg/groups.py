@@ -134,8 +134,8 @@ def _check_positive(name: str, minimum: int):
 
 def _check_sym(params: tuple[int, ...]) -> tuple[str, str] | None:
     (n,) = params
-    if not 1 <= n <= 5:
-        return "Sym supports 1 <= n <= 5", f"n={n}"
+    if not 1 <= n <= 6:
+        return "Sym supports 1 <= n <= 6", f"n={n}"
     return None
 
 

@@ -1,22 +1,23 @@
 """Subgroup lattice enumeration and normalizers.
 
 Subgroups are bitsets over element ids (Python ints). `enumerate_subgroups`
-finds them by cyclic extension (Neubueser 1960) and returns them as their
-conjugacy orbits, which every degree route reads as they come; the canonical
-order exists only for `SubgroupLattice.subgroups`. Enumeration reads only
-the table rows (`rows[g][x]` is g*x) it multiplies by, and builds masks in C
-as `sum(map(bit, elems))`. `normalizer` computes N(H) afresh for many H at
-once, apart from the enumerator's own N(H). Neither walks a subgroup itself:
+finds them by cyclic extension (Neubueser 1960), then inside the solvable
+residuum G^(oo), and returns them as their conjugacy orbits, which every
+degree route reads as they come; the canonical order exists only for
+`SubgroupLattice.subgroups`. Enumeration reads only the table rows
+(`rows[g][x]` is g*x) it multiplies by, and builds masks in C as
+`sum(map(bit, elems))`. `normalizer` computes N(H) afresh for many H at once,
+apart from the enumerator's own N(H). Neither walks a subgroup itself:
 `groups.closure` is the one breadth-first walk, and `groups.generators` the
 one greedy search for a generating set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import or_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .numtheory import factorize
 _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, its bits reversed
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
+class SubgroupSet(NamedTuple):
     """One subgroup as a bitset; bit i set means element i belongs."""
 
     mask: int
@@ -112,6 +112,26 @@ def _canonical_key(n: int):
     return lambda m: (m.bit_count(), (full ^ m).to_bytes(width, "little").translate(_BITREV))
 
 
+def _residuum(G: GroupTable, perms: list[list[int]]) -> int:
+    """The mask of G^(oo), the last term of G's derived series. Each term is the
+    normal closure of the last one's generators' commutators: they and their
+    conjugates under `perms` join one span, grown in place, if outside it."""
+    mul, inv = G.mul, G.inv
+    gens, size = G.generators(), G.order
+    while True:
+        new, span = [], (1, [0])
+        pending = [int(mul[mul[a, b], mul[inv[a], inv[b]]]) for a in gens for b in gens if a < b]
+        while pending:
+            x = pending.pop()
+            if not span[0] >> x & 1:
+                new.append(x)
+                span = closure(G.rows, new, span)
+                pending += [perm[x] for perm in perms]
+        if len(span[1]) == size:
+            return span[0]
+        gens, size = new, len(span[1])
+
+
 def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
     """All subgroups of G, with no bound on the work: a caller taking outside input
     (`explorer.degree_report`, `verify_grid`) checks its cap before building G.
@@ -128,10 +148,14 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
     H<g'> of K' above H, and [K' : H] = p is prime, so H<g'> = K', already
     registered. This reaches exactly the subgroups with a chain of normal
     prime-index steps up from 1, so it reaches G exactly when G is solvable.
-    Otherwise a second pass takes <H, g> for g outside N(H), skipping the
-    double coset HgH one left coset hgH at a time, for every representative
-    (walking N(H) first for those it finds); it is complete, as every
-    subgroup K > 1 is <M, g> for any maximal M < K and any g in K outside M.
+    Otherwise a second pass computes D = G^(oo) and takes <H, g> for each
+    representative H <= D and g in D outside N(H), skipping the double coset
+    HgH one left coset hgH at a time (and walking N(H) for those it finds).
+    It is complete: each subgroup K has a perfect residuum P = K^(oo) <= D,
+    and the walks of N(H) climb from P to K, as K/P is solvable. A perfect
+    P > 1 is <M, g> for a maximal M < P and any g in P outside M (so outside
+    N(M)). M = xHx^-1 for a representative H <= D, so <H, x^-1 g x> is a
+    conjugate of P, with x^-1 g x in D, as D is normal.
     """
     n = G.order
     rows = G.rows
@@ -166,6 +190,7 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
     for general in (False, True):
         if full in orbit_of:
             break
+        residuum = _residuum(G, perms) if general else 0
         for i, (mask, elems, gens, norm) in enumerate(reps):  # the list grows while it is walked
             # the cosets gH in N(H) outside H with g^p in H, in one pass only
             rest = (norm & reduce(or_, map(roots.__getitem__, elems))) ^ mask if i >= walked else 0
@@ -189,7 +214,8 @@ def enumerate_subgroups(G: GroupTable) -> SubgroupLattice:
                             skip = reduce(or_, [c for c in orbit if c & mask == mask])
                         break
                 rest &= ~skip
-            rest = full ^ norm if general else 0  # G outside N(H)
+            # G^(oo) outside N(H), for H inside G^(oo); 0 in the first pass
+            rest = residuum & ~norm if mask & ~residuum == 0 else 0
             while rest:
                 g = (rest & -rest).bit_length() - 1
                 k, kelems = closure(rows, gens + (g,))

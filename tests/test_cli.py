@@ -130,6 +130,17 @@ class TestCompute:
         assert code == EXIT_CAP
         assert err
 
+    # Sym(6), order 720, lies past the default cap of 512; its lattice needs
+    # the non-solvable second pass inside Alt(6)
+    def test_sym6_past_the_default_cap(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "--spec", "Sym(6)")
+        assert code == EXIT_CAP
+        assert err.startswith("cap exceeded: ")
+        code, out, _ = run_cli(capsys, "compute", "--spec", "Sym(6)", "--cap", "1024")
+        assert code == EXIT_OK
+        (row,) = tsv_rows(out)
+        assert (row["lattice_size"], row["normal_count"], row["ndeg"]) == ("1455", "3", "1/485")
+
     @pytest.mark.parametrize("spec", ["C(4096) x C(1)", "Dih(2000)"])
     def test_cap_is_checked_before_the_table_is_built(self, capsys, monkeypatch, spec):
         def build(spec):

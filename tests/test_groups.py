@@ -94,7 +94,7 @@ class TestConstraints:
         ("C", (0,)),
         ("Dih", (0,)),
         ("Sym", (0,)),
-        ("Sym", (6,)),
+        ("Sym", (7,)),
         ("EA", (4, 2)),
         ("EA", (3, 0)),
         ("Q", (2,)),

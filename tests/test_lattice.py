@@ -9,7 +9,9 @@ Sym(5), on three groups of order 72 to 105, on three 2-groups of order
 64 with classes of 16 to 32 conjugates and on two metacyclic groups with
 classes of 19 and 31 conjugates. SHA-256 digests pin the masks, the
 classes and the normal flags read off them on every group of the
-benchmark's compute and sd corpora, up to order 512.
+benchmark's compute and sd corpora, up to order 512, and on five
+non-solvable groups of order 240 to 1440. A work test counts the closures
+of the non-solvable pass.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normdeg import lattice
 from normdeg.errors import ConstraintError
 from normdeg.explorer import catalog_specs
 from normdeg.groups import abelian_counts, build, closure
@@ -121,8 +124,9 @@ def lattice_by_closure(G) -> tuple[list[int], set[frozenset[int]]]:
 
 
 # SHA-256 of repr((masks, classes, normal_flags)) for each group of the
-# benchmark's compute and sd corpora; enumeration may get faster, but each
-# of these lattices must stay exactly as it is
+# benchmark's compute and sd corpora, and for five larger non-solvable groups
+# (the last five); enumeration may get faster, but each of these lattices
+# must stay exactly as it is
 LATTICE_DIGESTS = {
     "C(1)": "52589aaf94d18feedfb119913ffe15325473e09c6b24cd46497d5d1c65d5011d",
     "C(2)": "71aa7df58108697a2cd6153063ed0ce330d365cadf0ac7f10455196ec9541eb0",
@@ -187,6 +191,11 @@ LATTICE_DIGESTS = {
     "Q(9)": "ac258140a90d121e47ae1053deec945a88cec3159ca4bd8da2839916d8ee277e",
     "EA(3,4)": "09c5f3a1f31a67389a5e2c1a0b5c05105d7127418e5544d583e1e4fa101f53c2",
     "Sym(4) x C(2)": "89cfe0b55f4f9d0c1bdd1b4116d7f1169d41db54b864a093dec186c27a9843b8",
+    "Sym(5) x C(2)": "42815bd9e08d512f5422f9be50d8a3647aaf5a459a32332367aee5e005a9e871",
+    "Sym(5) x Sym(3)": "41a6ffe3ea6cd0c91718b27960a7b87362cbbc938f102b2fa381c5b5293c55b7",
+    "Sym(5) x Dih(4)": "fa39c868bc4cf77bb84d8d6a999cbb8718c7730a445f32979013625cbbde77b5",
+    "Sym(6)": "6b5c1ad3b6a3a1cf52a191bb2bb19efcbe4156899d51acdadbc13496e265ed20",
+    "Sym(6) x C(2)": "416c9fc3ac4ae668cc84a1de3f38b885cf0ffb08c97b7bdf52417482b9b5f4c0",
 }
 
 
@@ -265,7 +274,7 @@ class TestEnumeration:
     # subgroups (OEIS A005432) and conjugacy classes (A000638) of Sym(n);
     # Sym(5) is not solvable, so A5 is only reached through non-normal steps
     @pytest.mark.parametrize("n, subgroups, class_count", [
-        (1, 1, 1), (2, 2, 2), (3, 6, 4), (4, 30, 11), (5, 156, 19),
+        (1, 1, 1), (2, 2, 2), (3, 6, 4), (4, 30, 11), (5, 156, 19), (6, 1455, 56),
     ])
     def test_symmetric_group_counts(self, n, subgroups, class_count):
         lat = enumerate_subgroups(build(f"Sym({n})"))
@@ -282,6 +291,16 @@ class TestEnumeration:
         assert sum(abelian_counts(2, (1,) * k)) == subgroups
         if k <= 6:
             assert len(enumerate_subgroups(build(f"EA(2,{k})"))) == subgroups
+
+    # the second pass runs closures only for H <= G^(oo) and g in G^(oo)
+    # outside N(H), G^(oo)'s own closures included (2561 over all of G outside
+    # N(H) for Sym(5) x Sym(3)); a solvable group never computes G^(oo)
+    @pytest.mark.parametrize("spec, most", [("Sym(5) x Sym(3)", 40), ("Sym(4) x C(3)", 0)])
+    def test_non_solvable_pass_stays_inside_the_residuum(self, monkeypatch, spec, most):
+        calls = []
+        monkeypatch.setattr(lattice, "closure", lambda *a: calls.append(1) or closure(*a))
+        enumerate_subgroups(build(spec))
+        assert len(calls) <= most
 
     def test_non_solvable_product_counts(self):
         lat = enumerate_subgroups(build("Sym(5) x C(2)"))
